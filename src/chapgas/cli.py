@@ -8,8 +8,9 @@ One flat JSON config file drives every subcommand:
 - ``oracle``  finite-volume cross-check as JSON, exit 3 when a gate fails
 - ``limit``   amplitude-sweep report as JSON
 
-Output is deterministic: JSON keys are sorted, CSV floats use shortest
-round-trip formatting, and nothing depends on wall-clock time or RNG state.
+Output is deterministic: JSON keys are sorted, CSV floats are written with
+``%.17g`` (17 significant digits, enough to round-trip any float64), and
+nothing depends on wall-clock time or RNG state.
 Exit codes: 0 success, 2 bad config or invalid data, 3 a check failed.
 """
 
@@ -20,7 +21,9 @@ import json
 import math
 import sys
 
-from .errors import ChapgasError, ValidationError
+import numpy as np
+
+from .errors import ChapgasError, NonFiniteInput, ValidationError
 from .fv import FvConfig, compare_to_exact, measure_delta_mass, run, wave_offsets
 from .limits import default_sweep, limit_study
 from .states import (
@@ -35,6 +38,7 @@ from .verify import checks_pass, fan_checks
 from .waves import (
     DeltaShock,
     RarefactionContact,
+    SampleKind,
     ShockContact,
     evaluate,
     solve,
@@ -86,7 +90,14 @@ def _number(cfg: dict, key: str, default=_REQUIRED) -> float:
     val = cfg[key]
     if isinstance(val, bool) or not isinstance(val, (int, float)):
         raise ValidationError(f"config key '{key}' must be a number")
-    return float(val)
+    # json reads 1e400 as inf and accepts NaN; a huge integer overflows float()
+    try:
+        num = float(val)
+    except OverflowError:
+        num = math.inf
+    if not math.isfinite(num):
+        raise NonFiniteInput(f"config key '{key}' must be finite")
+    return num
 
 
 def _count(cfg: dict, key: str, default=_REQUIRED) -> int:
@@ -164,9 +175,9 @@ def cmd_sample(cfg: dict, out: str | None) -> int:
     times = cfg.get("times")
     if not isinstance(times, list) or not times:
         raise ValidationError("config key 'times' must be a nonempty list")
-    for t in times:
-        if isinstance(t, bool) or not isinstance(t, (int, float)) or not t > 0.0:
-            raise ValidationError("every entry of 'times' must be a positive number")
+    times = [_number({"times": t}, "times") for t in times]
+    if not all(t > 0.0 for t in times):
+        raise ValidationError("every entry of 'times' must be a positive number")
     loc_tol = None
     if "loc_tol" in cfg:
         loc_tol = _number(cfg, "loc_tol")
@@ -174,28 +185,30 @@ def cmd_sample(cfg: dict, out: str | None) -> int:
             raise ValidationError("config key 'loc_tol' must be positive")
 
     step = (x_max - x_min) / (x_count - 1)
+    if not math.isfinite(step):
+        raise NonFiniteInput("sample grid step (x_max - x_min) overflows")
     xs = [x_min + i * step for i in range(x_count)]
+    x_cells = [_fmt(x) for x in xs]
+    x_grid = np.array(xs)
 
     def opt(v) -> str:
         return "" if v is None else _fmt(v)
 
     lines = ["x,t,rho,u,kind,weight,u_delta"]
     for t in times:
-        for x in xs:
-            s = evaluate(fan, x, float(t), loc_tol)
-            lines.append(
-                ",".join(
-                    (
-                        _fmt(x),
-                        _fmt(t),
-                        opt(s.rho),
-                        opt(s.u),
-                        s.kind,
-                        opt(s.weight),
-                        opt(s.u_delta),
-                    )
-                )
-            )
+        s = evaluate(fan, x_grid, t, loc_tol)
+        t_cell = _fmt(t)
+        # after x, the fields of a point that is not regular do not vary along x
+        fixed = {
+            SampleKind.VACUUM: f"{t_cell},,,{SampleKind.VACUUM},,",
+            SampleKind.ON_DELTA: f"{t_cell},,,{SampleKind.ON_DELTA},"
+            f"{opt(s.weight)},{opt(s.u_delta)}",
+        }
+        for x_cell, kind, rho, u in zip(x_cells, s.kind.tolist(), s.rho.tolist(), s.u.tolist()):
+            if kind == SampleKind.REGULAR:
+                lines.append(f"{x_cell},{t_cell},{_fmt(rho)},{_fmt(u)},{kind},,")
+            else:
+                lines.append(f"{x_cell},{fixed[kind]}")
     _emit("\n".join(lines) + "\n", out)
     return _EXIT_OK
 

@@ -33,6 +33,10 @@ class RegionMismatch(ChapgasError):
     """The requested construction does not exist for this phase-plane region."""
 
 
+class DensityOutOfRange(ChapgasError):
+    """A star density, or a wave speed derived from it, leaves the float64 range."""
+
+
 class OutsideFan(ChapgasError):
     """Rarefaction interior requested at a slope outside the fan."""
 

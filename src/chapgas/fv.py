@@ -11,7 +11,7 @@ structurally unrelated to the closed-form solver.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -220,21 +220,6 @@ def locate_jump(state: FvState, x_target: float, halfwidth: float) -> float:
     seg = state.rho[lo : hi + 1]
     k = int(np.argmax(np.abs(np.diff(seg))))
     return float(state.x[lo + k] + 0.5 * state.dx)
-
-
-def locate_kink(state: FvState, x_target: float, halfwidth: float) -> float:
-    """Cell with the largest |second difference| near x_target.
-
-    Only meaningful when the slope kink is sharp relative to the numerical
-    smearing; a first-order run smears fan edges so much that the interior
-    curvature of the fan dominates, which is why wave_offsets does not use
-    this on rarefaction edges.
-    """
-    lo, hi = _window(state, x_target, halfwidth)
-    seg = state.rho[lo : hi + 1]
-    d2 = seg[2:] - 2.0 * seg[1:-1] + seg[:-2]
-    k = int(np.argmax(np.abs(d2)))
-    return float(state.x[lo + 1 + k])
 
 
 def locate_peak(state: FvState, x_target: float, halfwidth: float) -> float:

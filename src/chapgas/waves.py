@@ -15,7 +15,13 @@ from typing import ClassVar, Union
 import numpy as np
 
 from .delta import DeltaShockWave, make_delta_wave
-from .errors import NegativeTime, OutsideFan, PressurelessNotApplicable, RegionMismatch
+from .errors import (
+    DensityOutOfRange,
+    NegativeTime,
+    OutsideFan,
+    PressurelessNotApplicable,
+    RegionMismatch,
+)
 from .states import (
     GasParams,
     ParabolicPath,
@@ -95,7 +101,15 @@ def intermediate_state(p: RiemannProblem) -> PrimState:
     g = p.params
     # chap(rho_star) must equal u_r - u_l + chap(rho_l), positive here
     gap = p.right.v - p.left.v + g.chap(p.left.rho)
-    rho_star = (g.A / gap) ** (1.0 / g.alpha)
+    try:
+        rho_star = (g.A / gap) ** (1.0 / g.alpha)
+    except OverflowError:
+        rho_star = math.inf
+    if not 0.0 < rho_star < math.inf:
+        raise DensityOutOfRange(
+            f"star density (A/gap)**(1/alpha) = ({g.A!r}/{gap!r})**(1/{g.alpha!r}) "
+            "leaves the float64 range"
+        )
     return PrimState(rho=rho_star, v=p.right.v)
 
 
@@ -153,6 +167,8 @@ def solve(p: RiemannProblem) -> WaveFan:
     if region is Region.II:
         star = intermediate_state(p)
         shock = (star.rho * star.v - p.left.rho * u_l) / (star.rho - p.left.rho)
+        if not math.isfinite(shock):
+            raise DensityOutOfRange(f"shock speed overflows at star density {star.rho!r}")
         return ShockContact(
             p,
             star=star,
@@ -204,7 +220,7 @@ def _profile(fan: WaveFan, x, t):
 
     Vacuum reports rho = 0 with u = 0 (any quadrature weight multiplies by
     rho); points exactly on a delta trajectory report the right state. Use
-    evaluate() for flagged scalar samples.
+    evaluate() for samples flagged by kind.
     """
     x_in = np.asarray(x, dtype=float)
     t_in = np.asarray(t, dtype=float)
@@ -289,28 +305,59 @@ class SolutionSample:
     u_delta: float | None = None
 
 
-def evaluate(fan: WaveFan, x: float, t: float, loc_tol: float | None = None) -> SolutionSample:
-    """Sample the solution at (x, t), t > 0.
+@dataclass(frozen=True)
+class SolutionSlice:
+    """Solution at an array of points x at one time t.
 
-    Points within loc_tol of a delta trajectory report the running weight
-    w(t) and the delta velocity; loc_tol defaults to 1e-9 * max(1, |x|).
+    kind, rho and u have the shape of x; rho and u are nan wherever kind is
+    not regular. weight and u_delta are the delta's running weight and
+    velocity at t for a delta-shock fan (whether or not any point sits on
+    the delta), None otherwise.
+    """
+
+    kind: np.ndarray
+    rho: np.ndarray
+    u: np.ndarray
+    weight: float | None = None
+    u_delta: float | None = None
+
+
+def evaluate(
+    fan: WaveFan, x: float | np.ndarray, t: float, loc_tol: float | None = None
+) -> SolutionSample | SolutionSlice:
+    """Sample the solution at points x and one time t > 0.
+
+    Points within loc_tol of a delta trajectory are on the delta and report
+    its running weight w(t) and velocity; loc_tol defaults to
+    1e-9 * max(1, |x|) per point. Points strictly between the two contacts
+    of a vacuum fan are vacuum; all others are regular. A scalar x gives a
+    SolutionSample, an array x a SolutionSlice of the same shape.
     """
     if t <= 0.0:
         raise NegativeTime(f"evaluation requires t > 0, got t = {t}")
+    xa = np.asarray(x, dtype=float)
     if loc_tol is None:
-        loc_tol = 1e-9 * max(1.0, abs(x))
+        loc_tol = 1e-9 * np.maximum(1.0, np.abs(xa))
 
+    rho, u = _profile(fan, xa, t)
+    kind = np.full(xa.shape, SampleKind.REGULAR, dtype=object)
+    special = np.zeros(xa.shape, dtype=bool)
+    weight = u_delta = None
     if isinstance(fan, DeltaShock):
-        xd = fan.delta.position(t)
-        if abs(x - xd) <= loc_tol:
-            return SolutionSample(
-                kind=SampleKind.ON_DELTA,
-                weight=fan.delta.weight(t),
-                u_delta=fan.delta.u_delta(t),
-            )
-    if isinstance(fan, TwoContactsVacuum):
-        if fan.x_left.position(t) < x < fan.x_right.position(t):
-            return SolutionSample(kind=SampleKind.VACUUM)
+        special = np.abs(xa - fan.delta.position(t)) <= loc_tol
+        kind[special] = SampleKind.ON_DELTA
+        weight, u_delta = fan.delta.weight(t), fan.delta.u_delta(t)
+    elif isinstance(fan, TwoContactsVacuum):
+        special = (fan.x_left.position(t) < xa) & (xa < fan.x_right.position(t))
+        kind[special] = SampleKind.VACUUM
+    rho[special] = np.nan
+    u[special] = np.nan
 
-    rho, u = _profile(fan, x, t)
-    return SolutionSample(kind=SampleKind.REGULAR, rho=float(rho), u=float(u))
+    if xa.ndim > 0:
+        return SolutionSlice(kind=kind, rho=rho, u=u, weight=weight, u_delta=u_delta)
+    k = kind.item()
+    if k == SampleKind.REGULAR:
+        return SolutionSample(kind=k, rho=float(rho), u=float(u))
+    if k == SampleKind.ON_DELTA:
+        return SolutionSample(kind=k, weight=weight, u_delta=u_delta)
+    return SolutionSample(kind=k)

@@ -130,6 +130,36 @@ class TestSample:
             assert main(["sample", "--config", cfg]) == 2
 
 
+    @pytest.mark.parametrize(
+        "key, literal",
+        [
+            ("times", "[1e400]"),
+            ("times", "[0.5, 1e400]"),
+            ("times", "[1" + "0" * 400 + "]"),
+            ("x_min", "-1e400"),
+            ("x_max", "1e400"),
+            ("loc_tol", "1e400"),
+        ],
+    )
+    def test_non_finite_input_rejected(self, tmp_path, capsys, key, literal):
+        payload = dict(DELTA_PROBLEM, x_min=-1.0, x_max=1.0, x_count=5, times=[1.0])
+        payload[key] = "@"
+        # json.dumps cannot write 1e400 itself: it would write Infinity
+        text = json.dumps(payload).replace('"@"', literal)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text, encoding="utf-8")
+        assert main(["sample", "--config", str(cfg)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "NonFiniteInput" in err and key in err
+
+    def test_overflowing_grid_step_rejected(self, tmp_path, capsys):
+        payload = dict(DELTA_PROBLEM, x_min=-1.5e308, x_max=1.5e308, x_count=5, times=[1.0])
+        cfg = write_config(tmp_path, payload)
+        assert main(["sample", "--config", cfg]) == 2
+        assert "NonFiniteInput" in capsys.readouterr().err
+
+
 class TestVerify:
     def test_constructed_fan_passes(self, tmp_path):
         got = run_json(tmp_path, "verify", dict(DELTA_PROBLEM, beta=2.0))
@@ -273,6 +303,29 @@ class TestConfigHandling:
         cfg = write_config(tmp_path, dict(DELTA_PROBLEM, rho_l="dense"))
         assert main(["solve", "--config", cfg]) == 2
 
+    def test_non_finite_number_rejected(self, tmp_path, capsys):
+        for key, val in (("w0_factor", float("inf")), ("A", float("nan"))):
+            payload = dict(DELTA_PROBLEM, **{key: val})
+            cfg = write_config(tmp_path, payload)
+            assert main(["verify", "--config", cfg]) == 2
+            assert "NonFiniteInput" in capsys.readouterr().err
+
     def test_boolean_is_not_a_number(self, tmp_path):
         cfg = write_config(tmp_path, dict(DELTA_PROBLEM, rho_l=True))
         assert main(["solve", "--config", cfg]) == 2
+
+
+class TestStarDensityRange:
+    @pytest.mark.parametrize("command", ["solve", "verify", "oracle"])
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"rho_l": 1, "u_l": 1, "rho_r": 2, "u_r": 0, "A": 1.0001, "alpha": 0.01},
+            {"rho_l": 1, "u_l": 0, "rho_r": 1, "u_r": 5, "A": 0.5, "alpha": 0.003},
+        ],
+        ids=["overflow", "underflow"],
+    )
+    def test_typed_error_exits_2(self, tmp_path, capsys, command, payload):
+        cfg = write_config(tmp_path, payload)
+        assert main([command, "--config", cfg]) == 2
+        assert "DensityOutOfRange" in capsys.readouterr().err

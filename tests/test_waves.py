@@ -5,6 +5,7 @@ import pytest
 
 from chapgas import (
     DeltaShock,
+    DensityOutOfRange,
     GasParams,
     NegativeTime,
     OutsideFan,
@@ -15,6 +16,7 @@ from chapgas import (
     SampleKind,
     ShockContact,
     SingleContact,
+    SolutionSlice,
     TwoContactsVacuum,
     evaluate,
     intermediate_state,
@@ -58,6 +60,27 @@ class TestIntermediateState:
                     w_s, _ = riemann_invariants(star, p.params)
                     assert abs(w_s - w_l) <= 1e-12 * max(1.0, abs(w_l), problem_scale(p))
                     assert star.v == p.right.v
+
+    @pytest.mark.parametrize(
+        "rho_l, u_l, rho_r, u_r, a, alpha",
+        [
+            (1.0, 1.0, 2.0, 0.0, 1.0001, 0.01),  # region II: rho* overflows
+            (1.0, 0.0, 1.0, 5.0, 0.5, 0.003),  # region I: rho* underflows to 0
+        ],
+    )
+    def test_star_density_out_of_float_range(self, rho_l, u_l, rho_r, u_r, a, alpha):
+        p = make_problem(rho_l, u_l, rho_r, u_r, a=a, alpha=alpha)
+        with pytest.raises(DensityOutOfRange):
+            intermediate_state(p)
+        with pytest.raises(DensityOutOfRange):
+            solve(p)
+
+    def test_shock_speed_overflow(self):
+        # rho* ~ 1e308 is finite, but rho* v* in the shock speed overflows
+        p = make_problem(1.0, 4.0, 2.0, 3.0, a=1.0008324561779927, alpha=0.01)
+        assert intermediate_state(p).rho < np.inf
+        with pytest.raises(DensityOutOfRange):
+            solve(p)
 
 
 class TestRarefactionState:
@@ -259,6 +282,95 @@ class TestEvaluate:
         fan = solve(p)
         far_left = evaluate(fan, -30.0, 1.0)
         assert far_left.u == pytest.approx(1.0 + 2.0, rel=1e-15)
+
+
+# one problem per fan variant, with friction so positions carry the drift
+FAN_VARIANTS = {
+    "two_contacts_vacuum": make_problem(2.0, -1.0, 1.0, 1.0, beta=2.0),
+    "single_contact": make_problem(2.0, 0.5, 1.0, 0.5, a=0.5, beta=-1.0),
+    "rarefaction_contact": make_problem(1.0, 1.0, 0.04, 2.0, a=0.25, beta=2.0),
+    "shock_contact": make_problem(1.0, 1.0, 2.0, 0.8, a=0.25, beta=-1.0),
+    "delta_shock": make_problem(1.0, 1.0, 1.0, -1.0, a=0.25, beta=2.0),
+}
+
+
+def assert_slice_matches_scalar(fan, xs, t, loc_tol=None):
+    """Array evaluate equals the scalar loop exactly, point by point."""
+    got = evaluate(fan, xs, t, loc_tol)
+    assert isinstance(got, SolutionSlice)
+    assert got.kind.shape == got.rho.shape == got.u.shape == xs.shape
+    for i, x in enumerate(xs):
+        s = evaluate(fan, float(x), t, loc_tol)
+        assert got.kind[i] == s.kind
+        if s.kind == SampleKind.REGULAR:
+            assert got.rho[i] == s.rho and got.u[i] == s.u
+        else:
+            assert np.isnan(got.rho[i]) and np.isnan(got.u[i])
+        if s.kind == SampleKind.ON_DELTA:
+            assert (got.weight, got.u_delta) == (s.weight, s.u_delta)
+    return got
+
+
+class TestBatchedEvaluate:
+    @pytest.mark.parametrize("variant", sorted(FAN_VARIANTS))
+    def test_matches_scalar_loop(self, variant):
+        fan = solve(FAN_VARIANTS[variant])
+        assert fan.variant == variant
+        for t in (0.25, 1.0, 2.5):
+            positions = [pos for _, pos in wave_positions(fan, t)]
+            grid = np.linspace(min(positions) - 2.0, max(positions) + 2.0, 301)
+            # grid points exactly on every wave, and one ulp either side
+            on = np.array(positions)
+            xs = np.concatenate(
+                (grid, on, np.nextafter(on, -np.inf), np.nextafter(on, np.inf))
+            )
+            got = assert_slice_matches_scalar(fan, xs, t)
+            kinds = set(got.kind.tolist())
+            on_waves = set(got.kind[grid.size : grid.size + on.size].tolist())
+            assert SampleKind.REGULAR in kinds
+            if variant == "two_contacts_vacuum":
+                # vacuum lies strictly between the contacts
+                assert SampleKind.VACUUM in kinds
+                assert on_waves == {SampleKind.REGULAR}
+            if variant == "delta_shock":
+                assert on_waves == {SampleKind.ON_DELTA}
+
+    def test_delta_grid_with_step_tolerance(self):
+        fan = solve(FAN_VARIANTS["delta_shock"])
+        t = 1.5
+        # step 1/16 puts the delta (at 2.0625) and its neighbours on exact grid points
+        x_min, x_max, count = -3.0, 4.0, 113
+        step = (x_max - x_min) / (count - 1)
+        xs = np.array([x_min + i * step for i in range(count)])
+        got = assert_slice_matches_scalar(fan, xs, t, loc_tol=step)
+        on = got.kind == SampleKind.ON_DELTA
+        # the window is closed: the neighbours exactly one step away are on it
+        assert xs[on].tolist() == [2.0, 2.0625, 2.125]
+        assert got.weight == fan.delta.weight(t)
+        assert got.u_delta == fan.delta.u_delta(t)
+
+    def test_default_tolerance_scales_per_point(self):
+        fan = solve(FAN_VARIANTS["delta_shock"])
+        t = 1.5
+        xd = fan.delta.position(t)
+        assert xd == 2.0625  # default window 1e-9 * |x| is about 2.06e-9 here
+        # a far point in the same array must not widen the window near the delta
+        xs = np.array([xd, xd + 1e-9, xd + 3e-9, xd - 3e-9, 1e6])
+        got = assert_slice_matches_scalar(fan, xs, t)
+        assert got.kind.tolist() == [SampleKind.ON_DELTA] * 2 + [SampleKind.REGULAR] * 3
+
+    def test_non_delta_fan_has_no_weight(self):
+        fan = solve(FAN_VARIANTS["shock_contact"])
+        got = evaluate(fan, np.array([0.0, 1.0]), 1.0)
+        assert got.weight is None and got.u_delta is None
+
+    def test_array_rejects_nonpositive_time(self):
+        xs = np.linspace(-1.0, 1.0, 5)
+        for variant in sorted(FAN_VARIANTS):
+            fan = solve(FAN_VARIANTS[variant])
+            for t in (0.0, -1.0):
+                with pytest.raises(NegativeTime):
+                    evaluate(fan, xs, t)
 
 
 class TestSelfSimilarity:
