@@ -203,7 +203,9 @@ def rh_residual(left: PrimState, right: PrimState, path: ParabolicPath, g: GasPa
 
     Returns (mass, momentum) defects [flux] - sigma(t) [density] for the
     conservative drift-frame pair (rho, rho(v + P)) with flux factor
-    v + beta t. Both vanish for shocks and contacts of the fan.
+    v + beta t. Both vanish for shocks and contacts of the fan. Raises
+    DensityOutOfRange when a flux leaves the float64 range (a star density
+    near the top of the range), since the defects are then inf or nan.
     """
     sigma = path.speed(t)
     ut_l = left.v + g.beta * t
@@ -212,58 +214,63 @@ def rh_residual(left: PrimState, right: PrimState, path: ParabolicPath, g: GasPa
     mom_r = right.rho * (right.v - g.chap(right.rho))
     e1 = (right.rho * ut_r - left.rho * ut_l) - sigma * (right.rho - left.rho)
     e2 = (mom_r * ut_r - mom_l * ut_l) - sigma * (mom_r - mom_l)
+    if not (math.isfinite(e1) and math.isfinite(e2)):
+        raise DensityOutOfRange(
+            f"jump-condition fluxes leave the float64 range at densities "
+            f"{left.rho!r} and {right.rho!r}"
+        )
     return e1, e2
 
 
 def _profile(fan: WaveFan, x, t):
     """Vectorized classical part (rho, u) of the solution at points (x, t).
 
-    Vacuum reports rho = 0 with u = 0 (any quadrature weight multiplies by
-    rho); points exactly on a delta trajectory report the right state. Use
-    evaluate() for samples flagged by kind.
+    x and t may be any shapes that broadcast together, e.g. an (n, m) grid of
+    x with t of shape (n, 1); both results have the broadcast shape, and t is
+    never expanded to it, so time-only terms cost one pass over t. 0-d inputs
+    give 0-d results. Vacuum reports rho = 0 with u = 0 (any quadrature weight
+    multiplies by rho); points exactly on a delta trajectory report the right
+    state. Use evaluate() for samples flagged by kind.
     """
-    x_in = np.asarray(x, dtype=float)
-    t_in = np.asarray(t, dtype=float)
-    if np.any(t_in <= 0.0):
+    x = np.asarray(x, dtype=float)
+    t = np.asarray(t, dtype=float)
+    if np.any(t <= 0.0):
         raise NegativeTime("profile evaluation requires t > 0")
-    xb, tb = np.broadcast_arrays(x_in, t_in)
-    shape = xb.shape
-    x = xb.reshape(-1)
-    t = tb.reshape(-1)
+    shape = np.broadcast_shapes(x.shape, t.shape)
     p = fan.problem
     g = p.params
     bt = g.beta * t
     half = 0.5 * g.beta * t * t
     u_l = p.left.v + bt
     u_r = p.right.v + bt
-    rho = np.empty(x.shape, dtype=float)
-    u = np.empty(x.shape, dtype=float)
+    rho = np.empty(shape, dtype=float)
+    u = np.empty(shape, dtype=float)
 
     if isinstance(fan, SingleContact):
         on_left = x < fan.x_c.c * t + half
-        rho[:] = np.where(on_left, p.left.rho, p.right.rho)
-        u[:] = np.where(on_left, u_l, u_r)
+        rho[...] = np.where(on_left, p.left.rho, p.right.rho)
+        u[...] = np.where(on_left, u_l, u_r)
 
     elif isinstance(fan, TwoContactsVacuum):
         xl = fan.x_left.c * t + half
         xr = fan.x_right.c * t + half
         left = x <= xl
         right = x >= xr
-        rho[:] = np.where(left, p.left.rho, np.where(right, p.right.rho, 0.0))
-        u[:] = np.where(left, u_l, np.where(right, u_r, 0.0))
+        rho[...] = np.where(left, p.left.rho, np.where(right, p.right.rho, 0.0))
+        u[...] = np.where(left, u_l, np.where(right, u_r, 0.0))
 
     elif isinstance(fan, DeltaShock):
         on_left = x < fan.delta.v_delta * t + half
-        rho[:] = np.where(on_left, p.left.rho, p.right.rho)
-        u[:] = np.where(on_left, u_l, u_r)
+        rho[...] = np.where(on_left, p.left.rho, p.right.rho)
+        u[...] = np.where(on_left, u_l, u_r)
 
     elif isinstance(fan, ShockContact):
         x1 = fan.x1.c * t + half
         x2 = fan.x2.c * t + half
         left = x < x1
         star = ~left & (x < x2)
-        rho[:] = np.where(left, p.left.rho, np.where(star, fan.star.rho, p.right.rho))
-        u[:] = np.where(left, u_l, np.where(star, fan.star.v + bt, u_r))
+        rho[...] = np.where(left, p.left.rho, np.where(star, fan.star.rho, p.right.rho))
+        u[...] = np.where(left, u_l, np.where(star, fan.star.v + bt, u_r))
 
     elif isinstance(fan, RarefactionContact):
         x1m = fan.x1m.c * t + half
@@ -272,19 +279,22 @@ def _profile(fan: WaveFan, x, t):
         left = x <= x1m
         interior = ~left & (x < x1p)
         star = ~left & ~interior & (x < x2)
-        rho[:] = np.where(left, p.left.rho, np.where(star, fan.star.rho, p.right.rho))
-        u[:] = np.where(left, u_l, np.where(star | interior, fan.star.v + bt, u_r))
+        rho[...] = np.where(left, p.left.rho, np.where(star, fan.star.rho, p.right.rho))
+        u[...] = np.where(left, u_l, np.where(star | interior, fan.star.v + bt, u_r))
         if np.any(interior):
             q_l = g.chap(p.left.rho)
             w_l = p.left.v - q_l
-            xs = (x[interior] - half[interior]) / t[interior]
+            x_i, half_i, t_i, bt_i = (
+                np.broadcast_to(a, shape)[interior] for a in (x, half, t, bt)
+            )
+            xs = (x_i - half_i) / t_i
             rho[interior] = (g.A * (1.0 - g.alpha) / (xs - w_l)) ** (1.0 / g.alpha)
-            u[interior] = (xs - g.alpha * w_l) / (1.0 - g.alpha) + bt[interior]
+            u[interior] = (xs - g.alpha * w_l) / (1.0 - g.alpha) + bt_i
 
     else:
         raise TypeError(f"not a wave fan: {fan!r}")
 
-    return rho.reshape(shape), u.reshape(shape)
+    return rho, u
 
 
 class SampleKind:

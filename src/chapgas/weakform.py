@@ -12,6 +12,12 @@ weight w(t), velocity u_delta(t), and A/rho**alpha taken as zero on the
 delta. The integrals are done with tensor Gauss-Legendre quadrature; the
 support rectangle is split at every wave trajectory so each quadrature cell
 sees a smooth integrand.
+
+The bump factors of psi are evaluated once per strip, each pair (b, b')
+with one exp: the t factors once per time panel on its n nodes, the x
+factors once on the strip's n x n grid; psi, psi_x and psi_t are their
+broadcast products. Time enters the profile evaluation as a column of the n
+nodes and is never expanded to the grid.
 """
 
 from __future__ import annotations
@@ -27,25 +33,22 @@ from .states import RiemannProblem
 from .waves import DeltaShock, WaveFan, _profile, wave_paths
 
 
-def _bump(s):
-    """C-infinity bump exp(-1/(1-s^2)) on |s| < 1, zero outside."""
-    s = np.asarray(s, dtype=float)
-    out = np.zeros(s.shape)
-    inside = np.abs(s) < 1.0
-    si = s[inside]
-    out[inside] = np.exp(-1.0 / (1.0 - si * si))
-    return out
+def _bump_pair(s):
+    """C-infinity bump b(s) = exp(-1/(1-s^2)) on |s| < 1 and its derivative.
 
-
-def _dbump(s):
-    """Derivative of _bump; also vanishes to all orders at |s| = 1."""
+    Both factors come from one masked pass with one exp; both vanish to all
+    orders at |s| = 1 and are zero outside.
+    """
     s = np.asarray(s, dtype=float)
-    out = np.zeros(s.shape)
+    b = np.zeros(s.shape)
+    db = np.zeros(s.shape)
     inside = np.abs(s) < 1.0
     si = s[inside]
     g = 1.0 - si * si
-    out[inside] = np.exp(-1.0 / g) * (-2.0 * si / (g * g))
-    return out
+    e = np.exp(-1.0 / g)
+    b[inside] = e
+    db[inside] = e * (-2.0 * si / (g * g))
+    return b, db
 
 
 @dataclass(frozen=True)
@@ -68,22 +71,22 @@ class TestFunction:
         if self.t0 - self.rt <= 0.0:
             raise ValidationError("TestFunction support must lie in t > 0")
 
+    def x_factors(self, x):
+        """(b, b') of the x factor at (x - x0)/rx."""
+        return _bump_pair((np.asarray(x) - self.x0) / self.rx)
+
+    def t_factors(self, t):
+        """(b, b') of the t factor at (t - t0)/rt."""
+        return _bump_pair((np.asarray(t) - self.t0) / self.rt)
+
     def value(self, x, t):
-        return _bump((np.asarray(x) - self.x0) / self.rx) * _bump(
-            (np.asarray(t) - self.t0) / self.rt
-        )
+        return self.x_factors(x)[0] * self.t_factors(t)[0]
 
     def dx(self, x, t):
-        return (
-            _dbump((np.asarray(x) - self.x0) / self.rx)
-            / self.rx
-            * _bump((np.asarray(t) - self.t0) / self.rt)
-        )
+        return self.x_factors(x)[1] / self.rx * self.t_factors(t)[0]
 
     def dt(self, x, t):
-        return _bump((np.asarray(x) - self.x0) / self.rx) * (
-            _dbump((np.asarray(t) - self.t0) / self.rt) / self.rt
-        )
+        return self.x_factors(x)[0] * (self.t_factors(t)[1] / self.rt)
 
 
 @lru_cache(maxsize=32)
@@ -138,6 +141,9 @@ def weak_residual(p: RiemannProblem, fan: WaveFan, psi: TestFunction, quad_n: in
             continue
         tj = 0.5 * (ta + tb) + 0.5 * (tb - ta) * nodes
         wj = 0.5 * (tb - ta) * wts
+        t_col = tj[:, None]
+        bt, dbt = psi.t_factors(t_col)
+        dbt_rt = dbt / psi.rt
 
         # x-breakpoints: wave positions clipped into the support, kept in
         # their left-to-right order (wave trajectories do not cross)
@@ -152,17 +158,15 @@ def weak_residual(p: RiemannProblem, fan: WaveFan, psi: TestFunction, quad_n: in
             if not np.any(width > 0.0):
                 continue
             X = lo[:, None] + width[:, None] * (0.5 * (nodes[None, :] + 1.0))
-            T = np.broadcast_to(tj[:, None], X.shape)
             W = (wj * 0.5 * width)[:, None] * wts[None, :]
 
-            rho, u = _profile(fan, X, T)
+            rho, u = _profile(fan, X, t_col)
             mom = rho * u - g.A * rho ** (1.0 - g.alpha)
-            psi_t = psi.dt(X, T)
-            psi_x = psi.dx(X, T)
+            bx, dbx = psi.x_factors(X)
+            psi_t = bx * dbt_rt
+            psi_x = dbx / psi.rx * bt
             r1 += float(np.sum(W * (rho * psi_t + rho * u * psi_x)))
-            r2 += float(
-                np.sum(W * (mom * psi_t + mom * u * psi_x + g.beta * rho * psi.value(X, T)))
-            )
+            r2 += float(np.sum(W * (mom * psi_t + mom * u * psi_x + g.beta * rho * (bx * bt))))
 
         if isinstance(fan, DeltaShock):
             d = fan.delta

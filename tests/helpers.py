@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 
 from chapgas import GasParams, PrimState, RiemannProblem, thresholds
@@ -13,6 +15,15 @@ def make_problem(rho_l, u_l, rho_r, u_r, a=0.0, alpha=0.5, beta=0.0):
         right=PrimState(rho=float(rho_r), v=float(u_r)),
         params=GasParams(A=float(a), alpha=float(alpha), beta=float(beta)),
     )
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name} in output")
+
+
+def loads_strict(text: str):
+    """Parse JSON, failing on the NaN/Infinity literals Python's json emits."""
+    return json.loads(text, parse_constant=_reject_constant)
 
 
 def draw_state(rng: np.random.Generator):

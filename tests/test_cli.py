@@ -5,6 +5,7 @@ import json
 import pytest
 
 from chapgas.cli import main
+from helpers import loads_strict
 
 DELTA_PROBLEM = {"rho_l": 1.0, "u_l": 1.0, "rho_r": 1.0, "u_r": -1.0, "A": 0.25, "alpha": 0.5}
 REGION2_PROBLEM = {"rho_l": 1.0, "u_l": 1.8, "rho_r": 2.0, "u_r": 1.2, "A": 1.5, "alpha": 0.5}
@@ -21,7 +22,7 @@ def run_json(tmp_path, command, payload, expect=0):
     out = tmp_path / "out.json"
     code = main([command, "--config", cfg, "--out", str(out)])
     assert code == expect
-    return json.loads(out.read_text(encoding="utf-8"))
+    return loads_strict(out.read_text(encoding="utf-8"))
 
 
 class TestSolve:
@@ -329,3 +330,14 @@ class TestStarDensityRange:
         cfg = write_config(tmp_path, payload)
         assert main([command, "--config", cfg]) == 2
         assert "DensityOutOfRange" in capsys.readouterr().err
+
+    def test_jump_flux_overflow_exits_2(self, tmp_path, capsys):
+        # rho* ~ 5e307 is finite, but the shock's momentum flux is not
+        payload = {
+            "rho_l": 1, "u_l": 4, "rho_r": 2, "u_r": 3, "A": 1.000838251222243, "alpha": 0.01
+        }
+        cfg = write_config(tmp_path, payload)
+        assert main(["verify", "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "DensityOutOfRange" in captured.err

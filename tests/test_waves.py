@@ -28,6 +28,7 @@ from chapgas import (
     wave_paths,
     wave_positions,
 )
+from chapgas.waves import _profile
 from helpers import draw_region_problem, make_problem, rh_scales
 
 EXAMPLE_B = make_problem(1.0, 1.0, 2.0, 0.8, a=0.25, alpha=0.5)
@@ -371,6 +372,41 @@ class TestBatchedEvaluate:
             for t in (0.0, -1.0):
                 with pytest.raises(NegativeTime):
                     evaluate(fan, xs, t)
+
+
+class TestProfileBroadcast:
+    @pytest.mark.parametrize("variant", sorted(FAN_VARIANTS))
+    def test_column_time_equals_expanded_time(self, variant):
+        fan = solve(FAN_VARIANTS[variant])
+        t = np.array([0.25, 0.7, 1.0, 2.5])
+        rows = []
+        for tk in t:
+            on = np.array([pos for _, pos in wave_positions(fan, tk)])
+            grid = np.linspace(on.min() - 2.0, on.max() + 2.0, 201)
+            beside = (np.nextafter(on, -np.inf), np.nextafter(on, np.inf))
+            rows.append(np.concatenate((grid, on) + beside))
+        X = np.array(rows)
+        T = np.broadcast_to(t[:, None], X.shape)
+        rho, u = _profile(fan, X, t[:, None])
+        rho_ref, u_ref = _profile(fan, X, T)
+        assert rho.shape == u.shape == X.shape
+        assert np.array_equal(rho, rho_ref) and np.array_equal(u, u_ref)
+        if variant == "rarefaction_contact":
+            head = np.array([fan.x1m.position(tk) for tk in t])[:, None]
+            tail = np.array([fan.x1p.position(tk) for tk in t])[:, None]
+            assert np.any((head < X) & (X < tail))
+
+    @pytest.mark.parametrize("variant", sorted(FAN_VARIANTS))
+    def test_zero_dim_inputs(self, variant):
+        fan = solve(FAN_VARIANTS[variant])
+        t = 1.0
+        # the midpoint of the first two waves lies inside the rarefaction fan
+        positions = [pos for _, pos in wave_positions(fan, t)]
+        for x in (positions[0] - 1.0, float(np.mean(positions[:2])), positions[-1] + 1.0):
+            rho, u = _profile(fan, x, t)
+            assert rho.shape == u.shape == ()
+            rho1, u1 = _profile(fan, np.array([x]), t)
+            assert rho == rho1[0] and u == u1[0]
 
 
 class TestSelfSimilarity:

@@ -1,7 +1,9 @@
 """Distributional weak-form residuals and the test-function battery."""
 
 import math
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from chapgas import (
@@ -16,7 +18,8 @@ from chapgas import (
     wave_paths,
     weak_residual,
 )
-from chapgas.waves import DeltaShock
+from chapgas.waves import DeltaShock, _profile
+from chapgas.weakform import _bump_pair, _check_order, _crossing_times, _gauss
 from helpers import make_problem
 
 REGION1 = make_problem(1.0, 0.0, 0.5, 1.2, a=1.0)
@@ -41,6 +44,77 @@ def battery_maxima(p, orders):
             worst = max(worst, abs(r1), abs(r2))
         out.append(worst)
     return out
+
+
+def reference_bump(s):
+    """The bump as one factor per pass: exp(-1/(1-s^2)) on |s| < 1."""
+    s = np.asarray(s, dtype=float)
+    out = np.zeros(s.shape)
+    inside = np.abs(s) < 1.0
+    si = s[inside]
+    out[inside] = np.exp(-1.0 / (1.0 - si * si))
+    return out
+
+
+def reference_dbump(s):
+    s = np.asarray(s, dtype=float)
+    out = np.zeros(s.shape)
+    inside = np.abs(s) < 1.0
+    si = s[inside]
+    g = 1.0 - si * si
+    out[inside] = np.exp(-1.0 / g) * (-2.0 * si / (g * g))
+    return out
+
+
+def reference_weak_residual(p, fan, psi, quad_n):
+    """weak_residual evaluating psi.value/dx/dt on the fully broadcast T grid."""
+    n = _check_order(quad_n)
+    g = p.params
+    nodes, wts = _gauss(n)
+    t_lo, t_hi = psi.t0 - psi.rt, psi.t0 + psi.rt
+    x_lo, x_hi = psi.x0 - psi.rx, psi.x0 + psi.rx
+    paths = [path for _, path in wave_paths(fan)]
+    cuts = {t_lo, t_hi}
+    for path in paths:
+        for edge in (x_lo, x_hi):
+            cuts.update(_crossing_times(path.c, g.beta, edge, t_lo, t_hi))
+    panels = sorted(cuts)
+    r1 = 0.0
+    r2 = 0.0
+    for ta, tb in zip(panels[:-1], panels[1:]):
+        if tb <= ta:
+            continue
+        tj = 0.5 * (ta + tb) + 0.5 * (tb - ta) * nodes
+        wj = 0.5 * (tb - ta) * wts
+        half = 0.5 * g.beta * tj * tj
+        rows = [np.full(tj.shape, x_lo)]
+        for path in paths:
+            rows.append(np.clip(path.c * tj + half, x_lo, x_hi))
+        rows.append(np.full(tj.shape, x_hi))
+        for lo, hi in zip(rows[:-1], rows[1:]):
+            width = hi - lo
+            if not np.any(width > 0.0):
+                continue
+            X = lo[:, None] + width[:, None] * (0.5 * (nodes[None, :] + 1.0))
+            T = np.broadcast_to(tj[:, None], X.shape)
+            W = (wj * 0.5 * width)[:, None] * wts[None, :]
+            rho, u = _profile(fan, X, T)
+            mom = rho * u - g.A * rho ** (1.0 - g.alpha)
+            psi_t = psi.dt(X, T)
+            psi_x = psi.dx(X, T)
+            r1 += float(np.sum(W * (rho * psi_t + rho * u * psi_x)))
+            r2 += float(
+                np.sum(W * (mom * psi_t + mom * u * psi_x + g.beta * rho * psi.value(X, T)))
+            )
+        if isinstance(fan, DeltaShock):
+            d = fan.delta
+            xt = d.position(tj)
+            wt = d.weight(tj)
+            ud = d.u_delta(tj)
+            along = psi.dt(xt, tj) + ud * psi.dx(xt, tj)
+            r1 += float(np.sum(wj * wt * along))
+            r2 += float(np.sum(wj * (wt * ud * along + g.beta * wt * psi.value(xt, tj))))
+    return r1, r2
 
 
 class TestTestFunction:
@@ -71,6 +145,46 @@ class TestTestFunction:
     def test_rejects_nonfinite_fields(self):
         with pytest.raises(NonFiniteInput):
             TestFunction(x0=float("nan"), t0=1.0, rx=1.0, rt=0.5)
+
+
+class TestExactness:
+    """The per-strip factor reuse must not change a single bit."""
+
+    EDGES = np.array([1.0, np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0), 1.5, 0.5, 0.0])
+
+    def test_pair_matches_reference_factors(self):
+        s = np.concatenate((self.EDGES, -self.EDGES, [1.0 - 1e-3, 0.999999, 7.0]))
+        b, db = _bump_pair(s)
+        assert np.array_equal(b, reference_bump(s))
+        assert np.array_equal(db, reference_dbump(s))
+
+    def test_value_and_derivatives_match_reference(self):
+        psi = TestFunction(x0=0.0, t0=2.0, rx=1.0, rt=1.0)
+        # s = x exactly; s = t - 2 lands within one ulp of 3 on either edge of the support
+        x = np.concatenate((self.EDGES, -self.EDGES, [0.3, -0.7, 4.0]))
+        t = np.array([1.0, 3.0, np.nextafter(3.0, 0.0), np.nextafter(3.0, 4.0), 2.2, 2.0, 0.5])
+        X, T = np.meshgrid(x, t)
+        bx, dbx = reference_bump(X), reference_dbump(X)
+        bt, dbt = reference_bump(T - 2.0), reference_dbump(T - 2.0)
+        assert np.array_equal(psi.value(X, T), bx * bt)
+        assert np.array_equal(psi.dx(X, T), dbx / 1.0 * bt)
+        assert np.array_equal(psi.dt(X, T), bx * (dbt / 1.0))
+
+    @pytest.mark.parametrize("quad_n", [64, 128])
+    @pytest.mark.parametrize("p", ALL_FANS)
+    def test_battery_equals_reference(self, p, quad_n):
+        fan = solve(p)
+        for psi in residual_battery(fan):
+            got = weak_residual(p, fan, psi, quad_n)
+            assert got == reference_weak_residual(p, fan, psi, quad_n)
+
+    def test_sabotaged_delta_equals_reference(self):
+        fan = solve(REGION3)
+        bad = replace(fan, delta=replace(fan.delta, w0=fan.delta.w0 * 1.1))
+        battery = residual_battery(fan)
+        got = [weak_residual(REGION3, bad, psi, 64) for psi in battery]
+        assert got == [reference_weak_residual(REGION3, bad, psi, 64) for psi in battery]
+        assert got[0] != weak_residual(REGION3, fan, battery[0], 64)
 
 
 class TestQuadOrderGuard:
@@ -125,8 +239,6 @@ class TestResiduals:
         )
 
     def test_sabotaged_weight_keeps_momentum_residual_large(self):
-        from dataclasses import replace
-
         fan = solve(REGION3)
         bad_delta = DeltaShockWave(fan.delta.v_delta, fan.delta.w0 * 1.1, fan.delta.beta)
         bad = replace(fan, delta=bad_delta)
