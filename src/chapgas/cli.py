@@ -35,16 +35,7 @@ from .states import (
     validate_problem,
 )
 from .verify import checks_pass, fan_checks
-from .waves import (
-    DeltaShock,
-    RarefactionContact,
-    SampleKind,
-    ShockContact,
-    evaluate,
-    solve,
-    wave_paths,
-    wave_positions,
-)
+from .waves import SampleKind, evaluate, solve
 
 _EXIT_OK = 0
 _EXIT_CONFIG = 2
@@ -144,21 +135,20 @@ def _clean(v: float):
 def cmd_solve(cfg: dict, out: str | None) -> int:
     p = _problem(cfg)
     fan = solve(p)
-    star = getattr(fan, "star", None)
-    delta = getattr(fan, "delta", None)
+    star = fan.star
     payload = {
         "problem": _problem_echo(p),
         "variant": fan.variant,
         "pressureless_case": pressureless_case(p),
         "region": classify_region(p).value if p.params.A > 0.0 else None,
         "waves": [
-            {"label": label, "c": path.c, "beta": path.beta}
-            for label, path in wave_paths(fan)
+            {"label": wave.label, "c": wave.path.c, "beta": wave.path.beta}
+            for wave in fan.waves
         ],
         "star": None if star is None else {"rho": star.rho, "v": star.v},
         "delta": None
-        if delta is None
-        else {"v_delta": delta.v_delta, "w0": delta.w0},
+        if fan.delta is None
+        else {"v_delta": fan.delta.v_delta, "w0": fan.delta.w0},
     }
     _emit_json(payload, out)
     return _EXIT_OK
@@ -284,10 +274,10 @@ def cmd_oracle(cfg: dict, out: str | None) -> int:
         payload["l1_ok"] = l1_ok
         gates.append(l1_ok)
 
-    if isinstance(fan, (RarefactionContact, ShockContact)):
-        pos = dict(wave_positions(fan, t_end))
-        lo = pos["R1.tail"] if isinstance(fan, RarefactionContact) else pos["S1"]
-        hi = pos["J"]
+    if fan.star is not None:
+        # the plateau lies between the two waves around the star segment
+        k = fan.states.index(fan.star)
+        lo, hi = (wave.path.position(t_end) for wave in fan.waves[k - 1 : k + 1])
         width = hi - lo
         x = state.x
         sel = (x >= lo + 0.3 * width) & (x <= hi - 0.3 * width)
@@ -309,7 +299,7 @@ def cmd_oracle(cfg: dict, out: str | None) -> int:
             }
             gates.append(ok)
 
-    if isinstance(fan, DeltaShock):
+    if fan.delta is not None:
         center = fan.delta.position(t_end)
         measured = measure_delta_mass(state, center, delta_window)
         expected = fan.delta.weight(t_end)

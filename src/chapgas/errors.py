@@ -34,7 +34,13 @@ class RegionMismatch(ChapgasError):
 
 
 class DensityOutOfRange(ChapgasError):
-    """A star density, or a wave speed derived from it, leaves the float64 range."""
+    """A quantity leaves what float64 can represent or resolve.
+
+    Raised for a star density, or a wave speed or jump flux derived from it,
+    outside the float64 range; for a rarefaction state whose fan is narrower
+    than one ulp; and for a problem scale whose cube, which sets the check
+    tolerances, overflows.
+    """
 
 
 class OutsideFan(ChapgasError):

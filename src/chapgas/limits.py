@@ -30,7 +30,7 @@ from .states import (
     classify_region,
     validate_problem,
 )
-from .waves import DeltaShock, RarefactionContact, ShockContact, SingleContact, solve
+from .waves import solve
 
 
 def thresholds(p: RiemannProblem):
@@ -53,9 +53,9 @@ def concentration_integrals(p: RiemannProblem, a: float, t: float):
     and momentum transported by the nascent delta shock.
     """
     fan = solve(_with_amplitude(p, a))
-    if not isinstance(fan, ShockContact):
+    if fan.variant != "shock_contact":
         raise RegionMismatch("concentration integrals require a shock-contact fan")
-    width_rate = fan.x2.c - fan.x1.c
+    width_rate = fan.path("J").c - fan.path("S1").c
     mass = fan.star.rho * width_rate * t
     momentum = mass * (p.right.v + p.params.beta * t)
     return mass, momentum
@@ -126,13 +126,12 @@ def limit_study(p: RiemannProblem, sweep=None) -> LimitReport:
         targets = {"x_left": u_l, "x_right": u_r, "rho_star": 0.0}
         for a in a_values:
             fan = solve(_with_amplitude(p, a))
-            assert isinstance(fan, RarefactionContact)
             rows.append(
                 {
                     "A": a,
                     "region": Region.I.value,
                     "rho_star": fan.star.rho,
-                    "head_gap": abs(fan.x1m.c - u_l),
+                    "head_gap": abs(fan.path("R1.head").c - u_l),
                 }
             )
         rates["rho_star"] = _fit_rate(a_values, [r["rho_star"] for r in rows])
@@ -142,9 +141,8 @@ def limit_study(p: RiemannProblem, sweep=None) -> LimitReport:
         targets = {"contact_speed": u_l}
         for a in a_values:
             fan = solve(_with_amplitude(p, a))
-            assert isinstance(fan, SingleContact)
             rows.append(
-                {"A": a, "region": Region.OnJ.value, "contact_speed": fan.x_c.c}
+                {"A": a, "region": Region.OnJ.value, "contact_speed": fan.path("J").c}
             )
 
     else:
@@ -162,7 +160,7 @@ def limit_study(p: RiemannProblem, sweep=None) -> LimitReport:
             prob = _with_amplitude(p, a)
             region = classify_region(prob)
             fan = solve(prob)
-            if isinstance(fan, DeltaShock):
+            if fan.delta is not None:
                 v_err = abs(fan.delta.v_delta - v_delta0)
                 w_err = abs(fan.delta.w0 - w00)
                 rows.append(

@@ -9,6 +9,7 @@ and pass when it is not meaningfully negative.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, replace
 
 from .delta import (
@@ -17,7 +18,7 @@ from .delta import (
     grh_residual,
     speed_quadratic_residual,
 )
-from .errors import ValidationError
+from .errors import DensityOutOfRange, ValidationError
 from .states import (
     PrimState,
     RiemannProblem,
@@ -25,20 +26,12 @@ from .states import (
     problem_scale,
     riemann_invariants,
 )
-from .waves import (
-    DeltaShock,
-    RarefactionContact,
-    ShockContact,
-    SingleContact,
-    TwoContactsVacuum,
-    WaveFan,
-    rarefaction_state,
-    rh_residual,
-    solve,
-)
+from .waves import WaveFan, rarefaction_state, rh_residual, solve
 from .weakform import residual_battery, weak_residual
 
 _TIMES = (0.0, 1.0, 10.0)
+# tolerances scale with problem_scale**3, which must stay a finite float
+_SCALE_MAX = sys.float_info.max ** (1.0 / 3.0)
 
 
 @dataclass(frozen=True)
@@ -97,31 +90,32 @@ def _star_rows(rows: list[CheckRow], p: RiemannProblem, star: PrimState, scale: 
     )
 
 
-def _fan_edge_rows(rows: list[CheckRow], fan: RarefactionContact, scale: float) -> None:
+def _fan_edge_rows(rows: list[CheckRow], fan: WaveFan, scale: float) -> None:
     # The interior profile depends on x and t only through the drift-frame
     # similarity variable, so evaluating with beta = 0 at the edge speeds is
     # exact; adding and subtracting beta*t would not round-trip in floats.
     p = fan.problem
     g0 = replace(p.params, beta=0.0)
-    for label, edge, state in (
-        ("head", fan.x1m, p.left),
-        ("tail", fan.x1p, fan.star),
-    ):
-        inside = rarefaction_state(edge.c, 1.0, p.left, g0)
-        gap = max(abs(inside.rho - state.rho), abs(inside.v - state.v))
-        rows.append(_absrow(f"fan.{label}.match", gap, 1e-9 * scale))
+    for k, wave in enumerate(fan.waves):
+        if wave.kind in ("head", "tail"):
+            state = fan.states[k] if wave.kind == "head" else fan.states[k + 1]
+            inside = rarefaction_state(wave.path.c, 1.0, p.left, g0)
+            gap = max(abs(inside.rho - state.rho), abs(inside.v - state.v))
+            rows.append(_absrow(f"fan.{wave.kind}.match", gap, 1e-9 * scale))
 
 
-def _lax_rows(rows: list[CheckRow], fan: ShockContact, scale: float) -> None:
-    p = fan.problem
-    sigma = fan.x1.c
-    lam1_l, _ = eigenvalues(p.left, p.params)
-    lam1_s, lam2_s = eigenvalues(fan.star, p.params)
-    margin = min(lam1_l - sigma, sigma - lam1_s, lam2_s - sigma)
-    rows.append(_marginrow("lax.margin", margin, 1e-12 * scale))
+def _lax_rows(rows: list[CheckRow], fan: WaveFan, scale: float) -> None:
+    g = fan.problem.params
+    for k, wave in enumerate(fan.waves):
+        if wave.kind == "shock":
+            sigma = wave.path.c
+            lam1_l, _ = eigenvalues(fan.states[k], g)
+            lam1_s, lam2_s = eigenvalues(fan.states[k + 1], g)
+            margin = min(lam1_l - sigma, sigma - lam1_s, lam2_s - sigma)
+            rows.append(_marginrow("lax.margin", margin, 1e-12 * scale))
 
 
-def _delta_rows(rows: list[CheckRow], fan: DeltaShock, scale: float) -> None:
+def _delta_rows(rows: list[CheckRow], fan: WaveFan, scale: float) -> None:
     p = fan.problem
     wave = fan.delta
     for t in _TIMES:
@@ -146,13 +140,16 @@ def _delta_rows(rows: list[CheckRow], fan: DeltaShock, scale: float) -> None:
 
 
 def _ordering_rows(rows: list[CheckRow], fan: WaveFan, scale: float) -> None:
-    if isinstance(fan, TwoContactsVacuum):
-        rows.append(_marginrow("order.vacuum", fan.x_right.c - fan.x_left.c, 1e-12 * scale))
-    elif isinstance(fan, RarefactionContact):
-        rows.append(_marginrow("order.fan", fan.x1p.c - fan.x1m.c, 1e-12 * scale))
-        rows.append(_marginrow("order.contact", fan.x2.c - fan.x1p.c, 1e-12 * scale))
-    elif isinstance(fan, ShockContact):
-        rows.append(_marginrow("order.contact", fan.x2.c - fan.x1.c, 1e-12 * scale))
+    # each row is named by the segment between the two waves it orders
+    for k in range(1, len(fan.waves)):
+        if fan.states[k] is not None:
+            name = "order.contact"
+        elif fan.is_vacuum(k):
+            name = "order.vacuum"
+        else:
+            name = "order.fan"
+        margin = fan.waves[k].path.c - fan.waves[k - 1].path.c
+        rows.append(_marginrow(name, margin, 1e-12 * scale))
 
 
 def _battery_rows(
@@ -173,30 +170,33 @@ def fan_checks(
     ``w0_factor`` rescales the delta strength before grading. Anything but
     1.0 is a deliberate fault injection: the perturbed fan must fail the
     weight and weak-form checks, which is how the checks themselves are
-    validated. It only makes sense for a delta-shock fan.
+    validated. It only makes sense for a delta-shock fan. Raises
+    DensityOutOfRange when the problem scale is so large that the check
+    tolerances, which grow like its cube, would overflow.
     """
     fan = solve(p)
+    scale = problem_scale(p)
+    if scale > _SCALE_MAX:
+        raise DensityOutOfRange(
+            f"problem scale {scale!r} puts the check tolerances (scale**3) "
+            "past the float64 range"
+        )
     if w0_factor != 1.0:
-        if not isinstance(fan, DeltaShock):
+        if fan.delta is None:
             raise ValidationError("w0_factor applies only to delta-shock fans")
         fan = replace(fan, delta=replace(fan.delta, w0=fan.delta.w0 * w0_factor))
 
-    scale = problem_scale(p)
     rows: list[CheckRow] = []
     _ordering_rows(rows, fan, scale)
-
-    if isinstance(fan, SingleContact):
-        _rh_rows(rows, "J", p.left, p.right, fan.x_c, p, scale)
-    elif isinstance(fan, RarefactionContact):
+    if fan.star is not None:
         _star_rows(rows, p, fan.star, scale)
-        _fan_edge_rows(rows, fan, scale)
-        _rh_rows(rows, "J", fan.star, p.right, fan.x2, p, scale)
-    elif isinstance(fan, ShockContact):
-        _star_rows(rows, p, fan.star, scale)
-        _lax_rows(rows, fan, scale)
-        _rh_rows(rows, "S1", p.left, fan.star, fan.x1, p, scale)
-        _rh_rows(rows, "J", fan.star, p.right, fan.x2, p, scale)
-    elif isinstance(fan, DeltaShock):
+    _fan_edge_rows(rows, fan, scale)
+    _lax_rows(rows, fan, scale)
+    for k, wave in enumerate(fan.waves):
+        left, right = fan.states[k], fan.states[k + 1]
+        if wave.kind in ("shock", "contact") and left is not None and right is not None:
+            _rh_rows(rows, wave.label, left, right, wave.path, p, scale)
+    if fan.delta is not None:
         _delta_rows(rows, fan, scale)
 
     _battery_rows(rows, p, fan, quad_n, scale)

@@ -1,16 +1,21 @@
 """Exact Riemann solution: fan construction and evaluation.
 
-Every wave rides a parabola x(t) = c t + beta t^2 / 2; the fan types below
-store the drift-free coefficients c, never closures, so two problems that
-differ only in beta produce identical stored coefficients. Evaluation
+Every solution is a WaveFan: an ordered run of waves, each riding a parabola
+x(t) = c t + beta t^2 / 2, with a state on every segment between them. The
+waves store the drift-free coefficients c, never closures, so two problems
+that differ only in beta produce identical stored coefficients. Evaluation
 reports the physical velocity u = v + beta t.
+
+Tie rule: a point exactly on a wave takes the state on the wave's right,
+unless that segment is not constant (a vacuum or a rarefaction interior);
+then it takes the state on the wave's left.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import ClassVar, Union
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,58 +39,63 @@ from .states import (
 )
 
 
-@dataclass(frozen=True)
-class TwoContactsVacuum:
-    """Pressureless expansion: vacuum opens between two contacts."""
+class Wave(NamedTuple):
+    """One wave of a fan: its label, its kind and its trajectory.
 
-    variant: ClassVar[str] = "two_contacts_vacuum"
-    problem: RiemannProblem
-    x_left: ParabolicPath
-    x_right: ParabolicPath
+    kind is "contact", "shock", "head" or "tail" (the edges of a
+    rarefaction) or "delta".
+    """
 
-
-@dataclass(frozen=True)
-class SingleContact:
-    """Equal-velocity data: one contact carrying the density jump."""
-
-    variant: ClassVar[str] = "single_contact"
-    problem: RiemannProblem
-    x_c: ParabolicPath
+    label: str
+    kind: str
+    path: ParabolicPath
 
 
-@dataclass(frozen=True)
-class RarefactionContact:
-    """Rarefaction (edges x1m, x1p) followed by a contact at x2."""
-
-    variant: ClassVar[str] = "rarefaction_contact"
-    problem: RiemannProblem
-    star: PrimState
-    x1m: ParabolicPath
-    x1p: ParabolicPath
-    x2: ParabolicPath
+# the tuple of wave kinds, left to right, names the variant
+_VARIANTS = {
+    ("contact", "contact"): "two_contacts_vacuum",
+    ("contact",): "single_contact",
+    ("head", "tail", "contact"): "rarefaction_contact",
+    ("shock", "contact"): "shock_contact",
+    ("delta",): "delta_shock",
+}
 
 
 @dataclass(frozen=True)
-class ShockContact:
-    """1-shock at x1, intermediate plateau, contact at x2."""
+class WaveFan:
+    """Exact Riemann solution: waves left to right and the states between.
 
-    variant: ClassVar[str] = "shock_contact"
+    states[k] is the segment between waves[k - 1] and waves[k], so
+    states[0] and states[-1] are the data states. A segment is None where
+    the solution is not constant: a vacuum between two contacts, or the
+    rarefaction interior opened by a head wave. delta is the Dirac measure
+    of a delta-shock fan, whose one wave rides delta.path.
+    """
+
     problem: RiemannProblem
-    star: PrimState
-    x1: ParabolicPath
-    x2: ParabolicPath
+    waves: tuple[Wave, ...]
+    states: tuple[PrimState | None, ...]
+    delta: DeltaShockWave | None = None
 
+    @property
+    def variant(self) -> str:
+        return _VARIANTS[tuple(wave.kind for wave in self.waves)]
 
-@dataclass(frozen=True)
-class DeltaShock:
-    """Single weighted Dirac measure separating the data states."""
+    @property
+    def star(self) -> PrimState | None:
+        """The constant state inside the fan, if there is one."""
+        return next((s for s in self.states[1:-1] if s is not None), None)
 
-    variant: ClassVar[str] = "delta_shock"
-    problem: RiemannProblem
-    delta: DeltaShockWave
+    def path(self, label: str) -> ParabolicPath:
+        """Trajectory of the wave with this label."""
+        for wave in self.waves:
+            if wave.label == label:
+                return wave.path
+        raise KeyError(label)
 
-
-WaveFan = Union[TwoContactsVacuum, SingleContact, RarefactionContact, ShockContact, DeltaShock]
+    def is_vacuum(self, k: int) -> bool:
+        """True when segment k is a vacuum (not constant, not a rarefaction)."""
+        return self.states[k] is None and self.waves[k - 1].kind != "head"
 
 
 def intermediate_state(p: RiemannProblem) -> PrimState:
@@ -128,9 +138,25 @@ def rarefaction_state(xi: float, t: float, left: PrimState, g: GasParams) -> Pri
     head = left.v - g.alpha * q_l
     if xs < head:
         raise OutsideFan(f"xi = {xi} lies left of the fan head at time {t}")
+    if not xs - w_l > 0.0:
+        # A/rho_l**alpha is below one ulp of v_l, so the fan has no float width
+        raise DensityOutOfRange(
+            f"rarefaction state at xi = {xi!r} is out of float64 resolution "
+            f"at left density {left.rho!r}"
+        )
     rho = (g.A * (1.0 - g.alpha) / (xs - w_l)) ** (1.0 / g.alpha)
     v = (xs - g.alpha * w_l) / (1.0 - g.alpha)
     return PrimState(rho=rho, v=v)
+
+
+def _contact_fan(p: RiemannProblem) -> WaveFan:
+    wave = Wave("J", "contact", ParabolicPath(p.left.v, p.params.beta))
+    return WaveFan(p, (wave,), (p.left, p.right))
+
+
+def _delta_fan(p: RiemannProblem) -> WaveFan:
+    delta = make_delta_wave(p)
+    return WaveFan(p, (Wave("Sdelta", "delta", delta.path),), (p.left, p.right), delta)
 
 
 def solve(p: RiemannProblem) -> WaveFan:
@@ -143,59 +169,49 @@ def solve(p: RiemannProblem) -> WaveFan:
     if g.pressureless:
         case = pressureless_case(p)
         if case == "expansion":
-            return TwoContactsVacuum(
-                p, x_left=ParabolicPath(u_l, beta), x_right=ParabolicPath(u_r, beta)
+            waves = (
+                Wave("J1", "contact", ParabolicPath(u_l, beta)),
+                Wave("J2", "contact", ParabolicPath(u_r, beta)),
             )
+            return WaveFan(p, waves, (p.left, None, p.right))
         if case == "contact":
-            return SingleContact(p, x_c=ParabolicPath(u_l, beta))
-        return DeltaShock(p, delta=make_delta_wave(p))
+            return _contact_fan(p)
+        return _delta_fan(p)
 
     region = classify_region(p)
     if region is Region.OnJ:
-        return SingleContact(p, x_c=ParabolicPath(u_l, beta))
+        return _contact_fan(p)
     if region is Region.I:
         star = intermediate_state(p)
         head = u_l - g.alpha * g.chap(p.left.rho)
         tail = star.v - g.alpha * g.chap(star.rho)
-        return RarefactionContact(
-            p,
-            star=star,
-            x1m=ParabolicPath(head, beta),
-            x1p=ParabolicPath(tail, beta),
-            x2=ParabolicPath(u_r, beta),
+        waves = (
+            Wave("R1.head", "head", ParabolicPath(head, beta)),
+            Wave("R1.tail", "tail", ParabolicPath(tail, beta)),
+            Wave("J", "contact", ParabolicPath(u_r, beta)),
         )
+        return WaveFan(p, waves, (p.left, None, star, p.right))
     if region is Region.II:
         star = intermediate_state(p)
         shock = (star.rho * star.v - p.left.rho * u_l) / (star.rho - p.left.rho)
         if not math.isfinite(shock):
             raise DensityOutOfRange(f"shock speed overflows at star density {star.rho!r}")
-        return ShockContact(
-            p,
-            star=star,
-            x1=ParabolicPath(shock, beta),
-            x2=ParabolicPath(u_r, beta),
+        waves = (
+            Wave("S1", "shock", ParabolicPath(shock, beta)),
+            Wave("J", "contact", ParabolicPath(u_r, beta)),
         )
-    return DeltaShock(p, delta=make_delta_wave(p))
+        return WaveFan(p, waves, (p.left, star, p.right))
+    return _delta_fan(p)
 
 
 def wave_paths(fan: WaveFan):
     """Labelled trajectories of every wave in the fan, left to right."""
-    if isinstance(fan, TwoContactsVacuum):
-        return (("J1", fan.x_left), ("J2", fan.x_right))
-    if isinstance(fan, SingleContact):
-        return (("J", fan.x_c),)
-    if isinstance(fan, RarefactionContact):
-        return (("R1.head", fan.x1m), ("R1.tail", fan.x1p), ("J", fan.x2))
-    if isinstance(fan, ShockContact):
-        return (("S1", fan.x1), ("J", fan.x2))
-    if isinstance(fan, DeltaShock):
-        return (("Sdelta", fan.delta.path),)
-    raise TypeError(f"not a wave fan: {fan!r}")
+    return tuple((wave.label, wave.path) for wave in fan.waves)
 
 
 def wave_positions(fan: WaveFan, t: float):
     """Labelled wave positions at time t."""
-    return [(label, path.position(t)) for label, path in wave_paths(fan)]
+    return [(wave.label, wave.path.position(t)) for wave in fan.waves]
 
 
 def rh_residual(left: PrimState, right: PrimState, path: ParabolicPath, g: GasParams, t: float):
@@ -229,70 +245,42 @@ def _profile(fan: WaveFan, x, t):
     x with t of shape (n, 1); both results have the broadcast shape, and t is
     never expanded to it, so time-only terms cost one pass over t. 0-d inputs
     give 0-d results. Vacuum reports rho = 0 with u = 0 (any quadrature weight
-    multiplies by rho); points exactly on a delta trajectory report the right
-    state. Use evaluate() for samples flagged by kind.
+    multiplies by rho); points exactly on a wave follow the module's tie rule,
+    so a point on a delta trajectory reports the right state. Use evaluate()
+    for samples flagged by kind.
     """
     x = np.asarray(x, dtype=float)
     t = np.asarray(t, dtype=float)
     if np.any(t <= 0.0):
         raise NegativeTime("profile evaluation requires t > 0")
-    shape = np.broadcast_shapes(x.shape, t.shape)
-    p = fan.problem
-    g = p.params
+    g = fan.problem.params
     bt = g.beta * t
     half = 0.5 * g.beta * t * t
-    u_l = p.left.v + bt
-    u_r = p.right.v + bt
-    rho = np.empty(shape, dtype=float)
-    u = np.empty(shape, dtype=float)
+    last = fan.states[-1]
+    rho, u = last.rho, last.v + bt
 
-    if isinstance(fan, SingleContact):
-        on_left = x < fan.x_c.c * t + half
-        rho[...] = np.where(on_left, p.left.rho, p.right.rho)
-        u[...] = np.where(on_left, u_l, u_r)
+    # fold right to left: the points left of wave k take segment k, and the
+    # waves further left overwrite their share of those points later
+    interior = inside = None
+    for k in range(len(fan.waves) - 1, -1, -1):
+        seg = fan.states[k]
+        pos = fan.waves[k].path.c * t + half
+        left = x <= pos if fan.states[k + 1] is None else x < pos
+        if fan.waves[k].kind == "head":
+            interior, base = inside & ~left, seg
+        rho = np.where(left, 0.0 if seg is None else seg.rho, rho)
+        u = np.where(left, 0.0 if seg is None else seg.v + bt, u)
+        inside = left
 
-    elif isinstance(fan, TwoContactsVacuum):
-        xl = fan.x_left.c * t + half
-        xr = fan.x_right.c * t + half
-        left = x <= xl
-        right = x >= xr
-        rho[...] = np.where(left, p.left.rho, np.where(right, p.right.rho, 0.0))
-        u[...] = np.where(left, u_l, np.where(right, u_r, 0.0))
-
-    elif isinstance(fan, DeltaShock):
-        on_left = x < fan.delta.v_delta * t + half
-        rho[...] = np.where(on_left, p.left.rho, p.right.rho)
-        u[...] = np.where(on_left, u_l, u_r)
-
-    elif isinstance(fan, ShockContact):
-        x1 = fan.x1.c * t + half
-        x2 = fan.x2.c * t + half
-        left = x < x1
-        star = ~left & (x < x2)
-        rho[...] = np.where(left, p.left.rho, np.where(star, fan.star.rho, p.right.rho))
-        u[...] = np.where(left, u_l, np.where(star, fan.star.v + bt, u_r))
-
-    elif isinstance(fan, RarefactionContact):
-        x1m = fan.x1m.c * t + half
-        x1p = fan.x1p.c * t + half
-        x2 = fan.x2.c * t + half
-        left = x <= x1m
-        interior = ~left & (x < x1p)
-        star = ~left & ~interior & (x < x2)
-        rho[...] = np.where(left, p.left.rho, np.where(star, fan.star.rho, p.right.rho))
-        u[...] = np.where(left, u_l, np.where(star | interior, fan.star.v + bt, u_r))
-        if np.any(interior):
-            q_l = g.chap(p.left.rho)
-            w_l = p.left.v - q_l
-            x_i, half_i, t_i, bt_i = (
-                np.broadcast_to(a, shape)[interior] for a in (x, half, t, bt)
-            )
-            xs = (x_i - half_i) / t_i
-            rho[interior] = (g.A * (1.0 - g.alpha) / (xs - w_l)) ** (1.0 / g.alpha)
-            u[interior] = (xs - g.alpha * w_l) / (1.0 - g.alpha) + bt_i
-
-    else:
-        raise TypeError(f"not a wave fan: {fan!r}")
+    if interior is not None and np.any(interior):
+        q_l = g.chap(base.rho)
+        w_l = base.v - q_l
+        x_i, half_i, t_i, bt_i = (
+            np.broadcast_to(a, rho.shape)[interior] for a in (x, half, t, bt)
+        )
+        xs = (x_i - half_i) / t_i
+        rho[interior] = (g.A * (1.0 - g.alpha) / (xs - w_l)) ** (1.0 / g.alpha)
+        u[interior] = (xs - g.alpha * w_l) / (1.0 - g.alpha) + bt_i
 
     return rho, u
 
@@ -339,8 +327,8 @@ def evaluate(
 
     Points within loc_tol of a delta trajectory are on the delta and report
     its running weight w(t) and velocity; loc_tol defaults to
-    1e-9 * max(1, |x|) per point. Points strictly between the two contacts
-    of a vacuum fan are vacuum; all others are regular. A scalar x gives a
+    1e-9 * max(1, |x|) per point. Points strictly inside a vacuum segment
+    are vacuum; all others are regular. A scalar x gives a
     SolutionSample, an array x a SolutionSlice of the same shape.
     """
     if t <= 0.0:
@@ -353,13 +341,17 @@ def evaluate(
     kind = np.full(xa.shape, SampleKind.REGULAR, dtype=object)
     special = np.zeros(xa.shape, dtype=bool)
     weight = u_delta = None
-    if isinstance(fan, DeltaShock):
-        special = np.abs(xa - fan.delta.position(t)) <= loc_tol
-        kind[special] = SampleKind.ON_DELTA
+    for k in range(1, len(fan.waves)):
+        if fan.is_vacuum(k):
+            lo, hi = (wave.path.position(t) for wave in fan.waves[k - 1 : k + 1])
+            vacuum = (lo < xa) & (xa < hi)
+            kind[vacuum] = SampleKind.VACUUM
+            special |= vacuum
+    if fan.delta is not None:
+        on_delta = np.abs(xa - fan.delta.position(t)) <= loc_tol
+        kind[on_delta] = SampleKind.ON_DELTA
+        special |= on_delta
         weight, u_delta = fan.delta.weight(t), fan.delta.u_delta(t)
-    elif isinstance(fan, TwoContactsVacuum):
-        special = (fan.x_left.position(t) < xa) & (xa < fan.x_right.position(t))
-        kind[special] = SampleKind.VACUUM
     rho[special] = np.nan
     u[special] = np.nan
 

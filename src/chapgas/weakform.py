@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import NonFiniteInput, UnsupportedQuadOrder, ValidationError
 from .states import RiemannProblem
-from .waves import DeltaShock, WaveFan, _profile, wave_paths
+from .waves import WaveFan, _profile
 
 
 def _bump_pair(s):
@@ -126,7 +126,7 @@ def weak_residual(p: RiemannProblem, fan: WaveFan, psi: TestFunction, quad_n: in
 
     t_lo, t_hi = psi.t0 - psi.rt, psi.t0 + psi.rt
     x_lo, x_hi = psi.x0 - psi.rx, psi.x0 + psi.rx
-    paths = [path for _, path in wave_paths(fan)]
+    paths = [wave.path for wave in fan.waves]
 
     cuts = {t_lo, t_hi}
     for path in paths:
@@ -168,7 +168,7 @@ def weak_residual(p: RiemannProblem, fan: WaveFan, psi: TestFunction, quad_n: in
             r1 += float(np.sum(W * (rho * psi_t + rho * u * psi_x)))
             r2 += float(np.sum(W * (mom * psi_t + mom * u * psi_x + g.beta * rho * (bx * bt))))
 
-        if isinstance(fan, DeltaShock):
+        if fan.delta is not None:
             d = fan.delta
             xt = d.position(tj)
             wt = d.weight(tj)
@@ -193,11 +193,12 @@ def residual_battery(fan: WaveFan, t_center: float = 1.0):
     span_t = (t_center - rt, t_center + rt)
     positions = []
     speeds = []
-    for _, path in wave_paths(fan):
+    paths = [wave.path for wave in fan.waves]
+    for path in paths:
         positions.append(path.position(t_center))
         speeds.append(max(abs(path.speed(span_t[0])), abs(path.speed(span_t[1]))))
-    lo = min(path.position(tt) for _, path in wave_paths(fan) for tt in span_t)
-    hi = max(path.position(tt) for _, path in wave_paths(fan) for tt in span_t)
+    lo = min(path.position(tt) for path in paths for tt in span_t)
+    hi = max(path.position(tt) for path in paths for tt in span_t)
 
     wide = TestFunction(
         x0=0.5 * (lo + hi), t0=t_center, rx=0.5 * (hi - lo) + 1.0, rt=rt

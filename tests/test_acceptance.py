@@ -39,7 +39,6 @@ from chapgas import (
     weak_residual,
 )
 from chapgas.delta import c_identity_residual
-from chapgas.waves import DeltaShock, RarefactionContact, ShockContact
 from helpers import draw_region_problem, make_problem, rh_scales
 
 ALPHAS = (0.3, 0.5, 0.8)
@@ -77,21 +76,23 @@ def test_criterion_1_closed_form_consistency():
             p = draw_region_problem(rng, region, alpha, beta)
             s = problem_scale(p)
             fan = solve(p)
-            if isinstance(fan, (RarefactionContact, ShockContact)):
+            if fan.variant in ("rarefaction_contact", "shock_contact"):
                 w_l = riemann_invariants(p.left, p.params)[0]
                 w_s = riemann_invariants(fan.star, p.params)[0]
                 worst_inv = max(worst_inv, abs(w_s - w_l) / max(1.0, abs(w_l)))
-                worst_rh = max(worst_rh, _rh_ok(p, fan.star, p.right, fan.x2))
-            if isinstance(fan, ShockContact):
-                worst_rh = max(worst_rh, _rh_ok(p, p.left, fan.star, fan.x1))
+                worst_rh = max(worst_rh, _rh_ok(p, fan.star, p.right, fan.path("J")))
+            if fan.variant == "shock_contact":
+                worst_rh = max(worst_rh, _rh_ok(p, p.left, fan.star, fan.path("S1")))
                 lam1_l = eigenvalues(p.left, p.params)[0]
                 lam1_s, lam2_s = eigenvalues(fan.star, p.params)
-                sigma = fan.x1.c
+                sigma = fan.path("S1").c
                 margin = min(lam1_l - sigma, sigma - lam1_s, lam2_s - sigma)
                 entropy_ok &= margin >= -1e-12 * s
-            if isinstance(fan, RarefactionContact):
-                entropy_ok &= fan.x1m.c <= fan.x1p.c <= fan.x2.c
-            if isinstance(fan, DeltaShock):
+            if fan.variant == "rarefaction_contact":
+                entropy_ok &= (
+                    fan.path("R1.head").c <= fan.path("R1.tail").c <= fan.path("J").c
+                )
+            if fan.variant == "delta_shock":
                 for t in (0.0, 1.0, 10.0):
                     r1, r2, r3 = grh_residual(p, fan.delta, t)
                     worst_grh = max(
@@ -265,8 +266,8 @@ def test_criterion_5_fv_oracle_agreement():
     state = run(
         FvConfig(problem=plateau_p, x_lo=-1.5, x_hi=2.5, n_cells=2000, t_end=1.0)
     )
-    lo = plateau_fan.x1.position(1.0)
-    hi = plateau_fan.x2.position(1.0)
+    lo = plateau_fan.path("S1").position(1.0)
+    hi = plateau_fan.path("J").position(1.0)
     sel = (state.x >= lo + 0.3 * (hi - lo)) & (state.x <= hi - 0.3 * (hi - lo))
     plateau_rel = abs(float(state.rho[sel].mean()) - plateau_fan.star.rho) / (
         plateau_fan.star.rho
@@ -314,7 +315,7 @@ def test_criterion_6_frame_shift_exactness():
         a = float(rng.choice([0.0, rng.uniform(0.0, 2.0) * rho_l**alpha]))
         moving = solve(make_problem(rho_l, u_l, rho_r, u_r, a=a, alpha=alpha, beta=2.0))
         still = solve(make_problem(rho_l, u_l, rho_r, u_r, a=a, alpha=alpha, beta=0.0))
-        exact &= type(moving) is type(still)
+        exact &= moving.variant == still.variant
         for (lab_m, path_m), (lab_s, path_s) in zip(
             wave_paths(moving), wave_paths(still)
         ):

@@ -341,3 +341,31 @@ class TestStarDensityRange:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "DensityOutOfRange" in captured.err
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"rho_l": 1e110, "u_l": 0.5, "rho_r": 1e110, "u_r": 0.5},
+            {"rho_l": 1e110, "u_l": 1, "rho_r": 1e110, "u_r": -1},
+            {"rho_l": 1, "u_l": 0.5, "rho_r": 1, "u_r": 0.5, "beta": 1e103},
+            {"rho_l": 1, "u_l": 1e103, "rho_r": 1, "u_r": 1e103},
+        ],
+        ids=["density", "density-delta", "beta", "velocity"],
+    )
+    def test_problem_scale_past_cubic_range_exits_2(self, tmp_path, capsys, payload):
+        # the check tolerances grow like scale**3, which leaves float64 here
+        cfg = write_config(tmp_path, payload)
+        assert main(["verify", "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "DensityOutOfRange" in captured.err
+
+    @pytest.mark.parametrize("rho_l", [1e60, 1e80, 1e100])
+    def test_rarefaction_below_resolution_exits_2(self, tmp_path, capsys, rho_l):
+        # A/rho_l**alpha is below one ulp of u_l, so the fan head has no width
+        payload = {"rho_l": rho_l, "u_l": -1, "rho_r": 1, "u_r": 1, "A": 0.5}
+        cfg = write_config(tmp_path, payload)
+        assert main(["verify", "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "DensityOutOfRange" in captured.err

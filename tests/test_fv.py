@@ -260,8 +260,8 @@ class TestPlateau:
     def test_region_two_plateau_matches_star_density(self):
         fan = solve(REGION2)
         state = run(config(REGION2, n_cells=1000, x_lo=-1.5, x_hi=2.5))
-        x1 = fan.x1.position(1.0)
-        x2 = fan.x2.position(1.0)
+        x1 = fan.path("S1").position(1.0)
+        x2 = fan.path("J").position(1.0)
         mid = np.abs(state.x - 0.5 * (x1 + x2)) <= 0.2 * (x2 - x1)
         plateau = float(np.mean(state.rho[mid]))
         assert plateau == pytest.approx(fan.star.rho, rel=0.02)

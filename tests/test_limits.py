@@ -98,8 +98,8 @@ class TestConcentrationIntegrals:
         for k in (4, 8, 12):
             a = 0.5 * (1.0 + 2.0**-k)
             fan = solve(make_problem(1.0, 1.0, 1.0, 0.5, a=a))
-            assert abs(fan.x1.speed(1.0) - 0.5) <= 2.0**-k
-            assert fan.x2.speed(1.0) == 0.5
+            assert abs(fan.path("S1").speed(1.0) - 0.5) <= 2.0**-k
+            assert fan.path("J").speed(1.0) == 0.5
 
 
 class TestDefaultSweep:

@@ -4,20 +4,15 @@ import numpy as np
 import pytest
 
 from chapgas import (
-    DeltaShock,
     DensityOutOfRange,
     GasParams,
     NegativeTime,
     OutsideFan,
     PressurelessNotApplicable,
     PrimState,
-    RarefactionContact,
     RegionMismatch,
     SampleKind,
-    ShockContact,
-    SingleContact,
     SolutionSlice,
-    TwoContactsVacuum,
     evaluate,
     intermediate_state,
     problem_scale,
@@ -85,6 +80,14 @@ class TestIntermediateState:
 
 
 class TestRarefactionState:
+    def test_head_below_float_resolution(self):
+        # xi - w_l rounds to 0 when A/rho_l**alpha is below one ulp of v_l
+        g = GasParams(0.5, 0.5)
+        left = PrimState(1e60, -1.0)
+        head = left.v - g.alpha * g.chap(left.rho)
+        with pytest.raises(DensityOutOfRange):
+            rarefaction_state(head, 1.0, left, g)
+
     def test_contract_example(self):
         # interior state on the contract's worked fan
         st = rarefaction_state(0.95, 1.0, PrimState(1.0, 1.0), GasParams(0.25, 0.5))
@@ -125,40 +128,40 @@ class TestRarefactionState:
 class TestSolveDispatch:
     def test_vacuum_fan(self):
         fan = solve(make_problem(1.0, -1.0, 1.0, 1.0))
-        assert isinstance(fan, TwoContactsVacuum)
-        assert fan.x_left.c == -1.0
-        assert fan.x_right.c == 1.0
+        assert fan.variant == "two_contacts_vacuum"
+        assert fan.path("J1").c == -1.0
+        assert fan.path("J2").c == 1.0
 
     def test_single_contact_pressureless(self):
         fan = solve(make_problem(1.0, 0.5, 2.0, 0.5))
-        assert isinstance(fan, SingleContact)
-        assert fan.x_c.c == 0.5
+        assert fan.variant == "single_contact"
+        assert fan.path("J").c == 0.5
 
     def test_single_contact_on_j(self):
         fan = solve(make_problem(1.0, 1.0, 3.0, 1.0, a=0.5))
-        assert isinstance(fan, SingleContact)
-        assert fan.x_c.c == 1.0
+        assert fan.variant == "single_contact"
+        assert fan.path("J").c == 1.0
 
     def test_pressureless_compression_is_delta(self):
         fan = solve(make_problem(1.0, 1.0, 1.0, 0.0))
-        assert isinstance(fan, DeltaShock)
+        assert fan.variant == "delta_shock"
 
     def test_region_i_fan(self):
         fan = solve(make_problem(1.0, 0.0, 0.5, 1.2, a=1.0))
-        assert isinstance(fan, RarefactionContact)
-        assert fan.x1m.c == pytest.approx(-0.5, abs=1e-15)
-        assert fan.x1p.c == pytest.approx(0.1, rel=1e-12, abs=1e-13)
-        assert fan.x2.c == 1.2
+        assert fan.variant == "rarefaction_contact"
+        assert fan.path("R1.head").c == pytest.approx(-0.5, abs=1e-15)
+        assert fan.path("R1.tail").c == pytest.approx(0.1, rel=1e-12, abs=1e-13)
+        assert fan.path("J").c == 1.2
 
     def test_example_b_fan_positions(self):
         fan = solve(EXAMPLE_B)
-        assert isinstance(fan, ShockContact)
-        assert fan.x1.c == pytest.approx(19.0 / 24.0, rel=1e-12)
-        assert fan.x2.c == 0.8
+        assert fan.variant == "shock_contact"
+        assert fan.path("S1").c == pytest.approx(19.0 / 24.0, rel=1e-12)
+        assert fan.path("J").c == 0.8
 
     def test_region_iii_fan(self):
         fan = solve(make_problem(1.0, 1.0, 1.0, -1.0, a=0.25))
-        assert isinstance(fan, DeltaShock)
+        assert fan.variant == "delta_shock"
         assert fan.delta.v_delta == pytest.approx(-0.125, abs=1e-15)
         assert fan.delta.w0 == pytest.approx(2.0, rel=1e-15)
 
@@ -198,9 +201,12 @@ class TestRhResidual:
                         fan = solve(p)
                         s = problem_scale(p)
                         pieces = (
-                            [(p.left, fan.star, fan.x1), (fan.star, p.right, fan.x2)]
-                            if isinstance(fan, ShockContact)
-                            else [(fan.star, p.right, fan.x2)]
+                            [
+                                (p.left, fan.star, fan.path("S1")),
+                                (fan.star, p.right, fan.path("J")),
+                            ]
+                            if fan.variant == "shock_contact"
+                            else [(fan.star, p.right, fan.path("J"))]
                         )
                         for left, right, path in pieces:
                             for t in (0.0, 1.0, 10.0):
@@ -214,7 +220,7 @@ class TestRhResidual:
 
         p = EXAMPLE_B
         fan = solve(p)
-        bad = ParabolicPath(c=fan.x1.c + 0.1, beta=0.0)
+        bad = ParabolicPath(c=fan.path("S1").c + 0.1, beta=0.0)
         e1, _ = rh_residual(p.left, fan.star, bad, p.params, 0.0)
         assert abs(e1) > 1e-3
 
@@ -228,8 +234,8 @@ class TestRhResidual:
             lam1_l, _ = eigenvalues(p.left, p.params)
             lam1_s, lam2_s = eigenvalues(fan.star, p.params)
             s = 1e-12 * problem_scale(p)
-            assert lam1_s - s <= fan.x1.c <= lam1_l + s
-            assert fan.x1.c <= lam2_s + s
+            assert lam1_s - s <= fan.path("S1").c <= lam1_l + s
+            assert fan.path("S1").c <= lam2_s + s
 
 
 class TestEvaluate:
@@ -253,7 +259,7 @@ class TestEvaluate:
     def test_rarefaction_interior_contract_point(self):
         p = make_problem(1.0, 1.0, 0.04, 2.0, a=0.25, alpha=0.5)
         fan = solve(p)
-        assert isinstance(fan, RarefactionContact)
+        assert fan.variant == "rarefaction_contact"
         s = evaluate(fan, 0.95, 1.0)
         assert s.rho == pytest.approx(0.390625, rel=1e-12)
         assert s.u == pytest.approx(1.15, rel=1e-12)
@@ -392,8 +398,8 @@ class TestProfileBroadcast:
         assert rho.shape == u.shape == X.shape
         assert np.array_equal(rho, rho_ref) and np.array_equal(u, u_ref)
         if variant == "rarefaction_contact":
-            head = np.array([fan.x1m.position(tk) for tk in t])[:, None]
-            tail = np.array([fan.x1p.position(tk) for tk in t])[:, None]
+            head = np.array([fan.path("R1.head").position(tk) for tk in t])[:, None]
+            tail = np.array([fan.path("R1.tail").position(tk) for tk in t])[:, None]
             assert np.any((head < X) & (X < tail))
 
     @pytest.mark.parametrize("variant", sorted(FAN_VARIANTS))
@@ -437,14 +443,14 @@ class TestFrameShift:
                     p0.params.A, p0.params.alpha, 2.0,
                 )
                 f0, f2 = solve(p0), solve(p2)
-                assert type(f0) is type(f2)
+                assert f0.variant == f2.variant
                 for (l0, path0), (l2, path2) in zip(wave_paths(f0), wave_paths(f2)):
                     assert l0 == l2
                     assert path0.c == path2.c
                     assert path0.beta == 0.0 and path2.beta == 2.0
-                if isinstance(f0, ShockContact):
+                if f0.variant == "shock_contact":
                     assert f0.star == f2.star
-                if isinstance(f0, DeltaShock):
+                if f0.variant == "delta_shock":
                     assert f0.delta.v_delta == f2.delta.v_delta
                     assert f0.delta.w0 == f2.delta.w0
 
@@ -468,7 +474,7 @@ class TestSeamContinuity:
         eps = 1e-9
         fan_hi = solve(make_problem(base["rho_l"], base["u_l"], base["rho_r"], 1.0 + eps, a=0.5))
         fan_lo = solve(make_problem(base["rho_l"], base["u_l"], base["rho_r"], 1.0 - eps, a=0.5))
-        assert isinstance(fan_hi, RarefactionContact)
-        assert isinstance(fan_lo, ShockContact)
+        assert fan_hi.variant == "rarefaction_contact"
+        assert fan_lo.variant == "shock_contact"
         assert fan_hi.star.rho == pytest.approx(fan_lo.star.rho, rel=1e-6)
-        assert fan_hi.x2.c == pytest.approx(fan_lo.x2.c, abs=1e-8)
+        assert fan_hi.path("J").c == pytest.approx(fan_lo.path("J").c, abs=1e-8)
