@@ -28,7 +28,6 @@ from .states import (
     RiemannProblem,
     classify_region,
     problem_scale,
-    validate_problem,
 )
 
 
@@ -63,7 +62,6 @@ class DeltaShockWave:
 
 
 def _require_delta_data(p: RiemannProblem) -> None:
-    validate_problem(p)
     if p.params.pressureless:
         if not p.left.v > p.right.v:
             raise RegionMismatch(

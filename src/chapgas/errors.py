@@ -18,7 +18,7 @@ class NegativeAmplitude(ValidationError):
 
 
 class AlphaOutOfRange(ValidationError):
-    """A > 0 requires the pressure exponent alpha to lie strictly in (0, 1)."""
+    """The pressure exponent alpha lies outside (0, 1), at any amplitude A."""
 
 
 class NonFiniteInput(ValidationError):

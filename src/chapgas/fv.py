@@ -22,7 +22,7 @@ from .errors import (
     ValidationError,
     WindowOutOfDomain,
 )
-from .states import GasParams, RiemannProblem, validate_problem
+from .states import GasParams, RiemannProblem
 from .waves import WaveFan, _profile, wave_positions
 
 
@@ -39,7 +39,6 @@ class FvConfig:
     floor: float = 1e-12
 
     def __post_init__(self):
-        validate_problem(self.problem)
         for name in ("x_lo", "x_hi", "t_end", "cfl", "floor"):
             if not math.isfinite(getattr(self, name)):
                 raise ValidationError(f"FvConfig.{name} must be finite")

@@ -22,22 +22,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .delta import _delta_params
-from .errors import AlphaOutOfRange, CaseMismatch, RegionMismatch, ValidationError
-from .states import (
-    GasParams,
-    Region,
-    RiemannProblem,
-    classify_region,
-    validate_problem,
-)
+from .errors import CaseMismatch, RegionMismatch, ValidationError
+from .states import GasParams, Region, RiemannProblem, classify_region, pressureless_case
 from .waves import solve
 
 
 def thresholds(p: RiemannProblem):
     """Amplitudes (A0, A1) separating the compressive regimes."""
-    validate_problem(p)
-    if not (0.0 < p.params.alpha < 1.0):
-        raise AlphaOutOfRange(f"alpha must lie in (0, 1), got {p.params.alpha!r}")
     if not p.left.v > p.right.v:
         raise CaseMismatch("thresholds are defined for compressive data u_l > u_r")
     base = p.left.rho ** p.params.alpha
@@ -63,7 +54,6 @@ def concentration_integrals(p: RiemannProblem, a: float, t: float):
 
 def default_sweep(p: RiemannProblem, n: int = 12):
     """Geometric amplitude sweep, halving from just below A0 (or from 1)."""
-    validate_problem(p)
     if p.left.v > p.right.v:
         start = 0.9 * thresholds(p)[0]
     else:
@@ -101,7 +91,6 @@ def limit_study(p: RiemannProblem, sweep=None) -> LimitReport:
     vacuum edges for expansive data); region II entries additionally carry
     concentration errors against the A -> A0 limits at t = 1.
     """
-    validate_problem(p)
     if sweep is None:
         sweep = default_sweep(p)
     a_values = tuple(float(a) for a in sweep)
@@ -110,13 +99,7 @@ def limit_study(p: RiemannProblem, sweep=None) -> LimitReport:
     if any(b >= a for a, b in zip(a_values, a_values[1:])):
         raise ValidationError("amplitude sweep must be strictly decreasing")
     u_l, u_r = p.left.v, p.right.v
-
-    if u_l < u_r:
-        case = "expansion"
-    elif u_l == u_r:
-        case = "contact"
-    else:
-        case = "compression"
+    case = pressureless_case(p)
 
     rows = []
     targets: dict = {}

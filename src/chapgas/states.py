@@ -34,7 +34,7 @@ class GasParams:
     """Pressure law and friction parameters.
 
     A     : Chaplygin pressure amplitude, >= 0 (A = 0 is pressureless)
-    alpha : pressure exponent, strictly in (0, 1) whenever A > 0
+    alpha : pressure exponent, strictly in (0, 1) at every A
     beta  : momentum source strength (any sign)
     """
 
@@ -68,11 +68,18 @@ class PrimState:
 
 @dataclass(frozen=True)
 class RiemannProblem:
-    """Two constant states separated at x = 0 at time zero."""
+    """Two constant states separated at x = 0 at time zero.
+
+    Construction validates the data (validate_problem), so every
+    RiemannProblem in existence is usable.
+    """
 
     left: PrimState
     right: PrimState
     params: GasParams
+
+    def __post_init__(self):
+        validate_problem(self)
 
 
 @dataclass(frozen=True)
@@ -119,8 +126,8 @@ def validate_params(g: GasParams) -> None:
         _require_finite(getattr(g, name), name)
     if g.A < 0.0:
         raise NegativeAmplitude(f"A must be >= 0, got {g.A!r}")
-    if g.A > 0.0 and not (0.0 < g.alpha < 1.0):
-        raise AlphaOutOfRange(f"alpha must lie in (0, 1) when A > 0, got {g.alpha!r}")
+    if not (0.0 < g.alpha < 1.0):
+        raise AlphaOutOfRange(f"alpha must lie in (0, 1), got {g.alpha!r}")
 
 
 def validate_state(s: PrimState, name: str = "state") -> None:
@@ -185,7 +192,6 @@ def classify_region(p: RiemannProblem) -> Region:
 
     Comparisons are exact; boundary data land on the boundary tags.
     """
-    validate_problem(p)
     if p.params.pressureless:
         raise PressurelessNotApplicable(
             "phase-plane classification requires A > 0; order u_l, u_r instead"

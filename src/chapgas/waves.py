@@ -35,7 +35,6 @@ from .states import (
     RiemannProblem,
     classify_region,
     pressureless_case,
-    validate_problem,
 )
 
 
@@ -161,7 +160,6 @@ def _delta_fan(p: RiemannProblem) -> WaveFan:
 
 def solve(p: RiemannProblem) -> WaveFan:
     """Construct the exact wave fan for the Riemann problem."""
-    validate_problem(p)
     g = p.params
     beta = g.beta
     u_l, u_r = p.left.v, p.right.v
@@ -202,11 +200,6 @@ def solve(p: RiemannProblem) -> WaveFan:
         )
         return WaveFan(p, waves, (p.left, star, p.right))
     return _delta_fan(p)
-
-
-def wave_paths(fan: WaveFan):
-    """Labelled trajectories of every wave in the fan, left to right."""
-    return tuple((wave.label, wave.path) for wave in fan.waves)
 
 
 def wave_positions(fan: WaveFan, t: float):

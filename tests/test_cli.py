@@ -53,6 +53,17 @@ class TestSolve:
         err = capsys.readouterr().err
         assert "AlphaOutOfRange" in err
 
+    @pytest.mark.parametrize("command", ["solve", "sample", "verify", "oracle", "limit"])
+    @pytest.mark.parametrize("alpha", [1.5, 3000, -3000])
+    def test_pressureless_exponent_rejected(self, tmp_path, capsys, command, alpha):
+        # 2**3000 used to overflow in chap, and -3000 to divide by zero
+        payload = {"rho_l": 2, "u_l": 1, "rho_r": 1, "u_r": 0, "A": 0, "alpha": alpha}
+        cfg = write_config(tmp_path, payload)
+        assert main([command, "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "AlphaOutOfRange" in captured.err
+
     def test_stdout_matches_file_output(self, tmp_path, capsys):
         cfg = write_config(tmp_path, DELTA_PROBLEM)
         assert main(["solve", "--config", cfg]) == 0
@@ -279,6 +290,33 @@ class TestLimit:
         payload = dict(DELTA_PROBLEM, sweep=[0.1, 0.2])
         cfg = write_config(tmp_path, payload)
         assert main(["limit", "--config", cfg]) == 2
+
+
+class TestArgv:
+    def test_help_lists_every_command(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        lines = capsys.readouterr().out.splitlines()
+        for name, description in (
+            ("solve", "print the wave-fan structure as JSON"),
+            ("sample", "sample the solution on a grid, CSV"),
+            ("verify", "run self-consistency checks, JSON"),
+            ("oracle", "cross-check against a finite-volume run, JSON"),
+            ("limit", "sweep the pressure amplitude toward its limits, JSON"),
+        ):
+            assert [name, *description.split()] in [line.split() for line in lines]
+
+    def test_unknown_command_exits_2(self, tmp_path):
+        cfg = write_config(tmp_path, DELTA_PROBLEM)
+        with pytest.raises(SystemExit) as exc:
+            main(["integrate", "--config", cfg])
+        assert exc.value.code == 2
+
+    def test_missing_config_exits_2(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve"])
+        assert exc.value.code == 2
 
 
 class TestConfigHandling:

@@ -1,6 +1,8 @@
 """State types, validation, pointwise algebra, and region classification."""
 
 import math
+from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from chapgas import (
     PressurelessNotApplicable,
     PrimState,
     Region,
+    RiemannProblem,
     classify_region,
     eigenvalues,
     pressureless_case,
@@ -59,6 +62,54 @@ class TestValidation:
     def test_validate_problem_covers_both_sides(self):
         with pytest.raises(NonPositiveDensity):
             validate_problem(make_problem(1.0, 0.0, -1.0, 0.0))
+
+
+GOOD_FIELDS = {
+    "left": PrimState(rho=1.0, v=1.0),
+    "right": PrimState(rho=2.0, v=0.0),
+    "params": GasParams(A=0.25, alpha=0.5, beta=1.0),
+}
+
+
+class TestProblemConstruction:
+    @pytest.mark.parametrize(
+        "field, value, error",
+        [
+            ("left", PrimState(rho=math.nan, v=1.0), NonFiniteInput),
+            ("right", PrimState(rho=2.0, v=math.inf), NonFiniteInput),
+            ("params", GasParams(A=math.inf, alpha=0.5), NonFiniteInput),
+            ("params", GasParams(A=0.25, alpha=math.nan), NonFiniteInput),
+            ("params", GasParams(A=0.25, alpha=0.5, beta=-math.inf), NonFiniteInput),
+            ("left", PrimState(rho=0.0, v=1.0), NonPositiveDensity),
+            ("right", PrimState(rho=-2.0, v=0.0), NonPositiveDensity),
+            ("params", GasParams(A=-0.25, alpha=0.5), NegativeAmplitude),
+            ("params", GasParams(A=0.25, alpha=1.0), AlphaOutOfRange),
+            ("params", GasParams(A=0.25, alpha=0.0), AlphaOutOfRange),
+            ("params", GasParams(A=0.0, alpha=1.5), AlphaOutOfRange),
+            ("params", GasParams(A=0.0, alpha=3000.0), AlphaOutOfRange),
+            ("params", GasParams(A=0.0, alpha=-3000.0), AlphaOutOfRange),
+        ],
+    )
+    def test_constructor_raises_what_validation_raises(self, field, value, error):
+        fields = dict(GOOD_FIELDS, **{field: value})
+        with pytest.raises(error) as validated:
+            validate_problem(SimpleNamespace(**fields))
+        with pytest.raises(error) as constructed:
+            RiemannProblem(**fields)
+        assert validated.type is constructed.type is error
+
+    @pytest.mark.parametrize(
+        "change, error",
+        [
+            ({"params": GasParams(A=-1.0, alpha=0.5)}, NegativeAmplitude),
+            ({"params": GasParams(A=0.0, alpha=2.0)}, AlphaOutOfRange),
+            ({"left": PrimState(rho=0.0, v=1.0)}, NonPositiveDensity),
+        ],
+    )
+    def test_replace_revalidates(self, change, error):
+        p = RiemannProblem(**GOOD_FIELDS)
+        with pytest.raises(error):
+            replace(p, **change)
 
 
 class TestPressure:

@@ -20,7 +20,6 @@ from chapgas import (
     rh_residual,
     riemann_invariants,
     solve,
-    wave_paths,
     wave_positions,
 )
 from chapgas.waves import _profile
@@ -178,7 +177,7 @@ class TestWavePaths:
         ],
     )
     def test_labels(self, p, labels):
-        assert [label for label, _ in wave_paths(solve(p))] == labels
+        assert [wave.label for wave in solve(p).waves] == labels
 
     def test_positions_are_ordered(self):
         rng = np.random.default_rng(17)
@@ -444,7 +443,7 @@ class TestFrameShift:
                 )
                 f0, f2 = solve(p0), solve(p2)
                 assert f0.variant == f2.variant
-                for (l0, path0), (l2, path2) in zip(wave_paths(f0), wave_paths(f2)):
+                for (l0, _, path0), (l2, _, path2) in zip(f0.waves, f2.waves):
                     assert l0 == l2
                     assert path0.c == path2.c
                     assert path0.beta == 0.0 and path2.beta == 2.0

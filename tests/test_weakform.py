@@ -15,7 +15,6 @@ from chapgas import (
     problem_scale,
     residual_battery,
     solve,
-    wave_paths,
     weak_residual,
 )
 from chapgas.waves import _profile
@@ -73,7 +72,7 @@ def reference_weak_residual(p, fan, psi, quad_n):
     nodes, wts = _gauss(n)
     t_lo, t_hi = psi.t0 - psi.rt, psi.t0 + psi.rt
     x_lo, x_hi = psi.x0 - psi.rx, psi.x0 + psi.rx
-    paths = [path for _, path in wave_paths(fan)]
+    paths = [wave.path for wave in fan.waves]
     cuts = {t_lo, t_hi}
     for path in paths:
         for edge in (x_lo, x_hi):
@@ -261,8 +260,8 @@ class TestBattery:
     def test_wide_bump_covers_every_wave(self):
         fan = solve(REGION2)
         wide = residual_battery(fan)[0]
-        for _, path in wave_paths(fan):
-            assert abs(path.position(1.0) - wide.x0) < wide.rx
+        for wave in fan.waves:
+            assert abs(wave.path.position(1.0) - wide.x0) < wide.rx
 
     def test_delta_fan_has_bump_on_trajectory(self):
         fan = solve(REGION3)
