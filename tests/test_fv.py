@@ -1,5 +1,7 @@
 """Finite-volume oracle: scheme, bookkeeping, locators, measurements."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -265,3 +267,113 @@ class TestPlateau:
         mid = np.abs(state.x - 0.5 * (x1 + x2)) <= 0.2 * (x2 - x1)
         plateau = float(np.mean(state.rho[mid]))
         assert plateau == pytest.approx(fan.star.rho, rel=0.02)
+
+
+def reference_step(state, cfg, dt_cap=None):
+    """The plain LLF step, pads by concatenation and no reused buffers.
+
+    Kept as the reference that the buffered step in chapgas.fv must match bit
+    for bit: same arithmetic per element, same guards.
+    """
+    g = cfg.problem.params
+    dx = state.dx
+    rho = np.concatenate(([state.rho[0]], state.rho, [state.rho[-1]]))
+    m = np.concatenate(([state.m[0]], state.m, [state.m[-1]]))
+    if np.any(rho <= 0.0):
+        raise NonPositiveDensity("cannot recover velocity at nonpositive density")
+    v = (m + g.A * rho ** (1.0 - g.alpha)) / rho
+    u = v + g.beta * state.t
+    gap = g.alpha * g.A / rho ** g.alpha
+    amax = np.maximum(np.abs(u), np.abs(u - gap))
+    peak = float(np.max(amax))
+    if not math.isfinite(peak):
+        raise CflViolation("wave speeds are not finite")
+
+    dt = cfg.cfl * dx / peak if peak > 0.0 else math.inf
+    if dt_cap is not None:
+        dt = min(dt, dt_cap)
+    if not (0.0 < dt < math.inf):
+        raise CflViolation(f"no admissible time step (dt = {dt})")
+
+    f_rho = u * rho
+    f_m = u * m
+    a_face = np.maximum(amax[:-1], amax[1:])
+    flux_rho = 0.5 * (f_rho[:-1] + f_rho[1:]) - 0.5 * a_face * (rho[1:] - rho[:-1])
+    flux_m = 0.5 * (f_m[:-1] + f_m[1:]) - 0.5 * a_face * (m[1:] - m[:-1])
+
+    lam = dt / dx
+    rho_new = state.rho - lam * (flux_rho[1:] - flux_rho[:-1])
+    m_new = state.m - lam * (flux_m[1:] - flux_m[:-1])
+    n_clamp = int(np.count_nonzero(rho_new < cfg.floor))
+    if n_clamp:
+        rho_new = np.maximum(rho_new, cfg.floor)
+
+    return FvState(
+        x=state.x,
+        rho=rho_new,
+        m=m_new,
+        t=state.t + dt,
+        clamped=state.clamped + n_clamp,
+        boundary_mass=state.boundary_mass + dt * (flux_rho[0] - flux_rho[-1]),
+        boundary_mom=state.boundary_mom + dt * (flux_m[0] - flux_m[-1]),
+    )
+
+
+def reference_run(cfg):
+    state = init_state(cfg)
+    tiny = 1e-12 * max(1.0, cfg.t_end)
+    while cfg.t_end - state.t > tiny:
+        state = reference_step(state, cfg, dt_cap=cfg.t_end - state.t)
+    return state
+
+
+def assert_bitwise_equal(got, want):
+    assert np.array_equal(got.x, want.x)
+    assert np.array_equal(got.rho, want.rho)
+    assert np.array_equal(got.m, want.m)
+    assert np.array_equal(np.signbit(got.rho), np.signbit(want.rho))
+    assert np.array_equal(np.signbit(got.m), np.signbit(want.m))
+    assert got.t == want.t
+    assert got.clamped == want.clamped
+    assert got.boundary_mass == want.boundary_mass
+    assert got.boundary_mom == want.boundary_mom
+
+
+# one config per fan variant, the clamping vacuum run, and A = 0 contacts
+# whose momentum is a signed zero everywhere
+EXACT_CASES = {
+    "vacuum": (make_problem(1.0, -1.0, 1.0, 1.0, beta=-1.0), 400, -2.0, 2.0),
+    "contact": (make_problem(2.0, 0.5, 1.0, 0.5, a=0.5), 200, -2.0, 2.0),
+    "rarefaction": (REGION1, 800, -2.0, 2.0),
+    "shock": (REGION2, 200, -1.5, 2.5),
+    "shock_beta": (make_problem(1.0, 1.8, 2.0, 1.2, a=1.5, beta=0.5), 800, -1.5, 2.5),
+    "delta": (make_problem(1.0, 1.0, 1.0, -1.0, a=0.25, beta=2.0), 800, -2.0, 2.0),
+    "delta_pressureless": (PLESS_DELTA, 200, -2.0, 2.0),
+    "zero_momentum": (make_problem(1.0, 0.0, 2.0, 0.0, beta=-1.0), 200, -2.0, 2.0),
+    "negative_zero_momentum": (make_problem(1.0, -0.0, 2.0, -0.0, beta=-1.0), 200, -2.0, 2.0),
+}
+
+
+class TestExactness:
+    @pytest.mark.parametrize("name", sorted(EXACT_CASES))
+    def test_run_matches_reference(self, name):
+        p, n, lo, hi = EXACT_CASES[name]
+        cfg = config(p, n_cells=n, x_lo=lo, x_hi=hi)
+        got = run(cfg)
+        assert_bitwise_equal(got, reference_run(cfg))
+        if name == "vacuum":
+            assert got.clamped > 0
+        if name.endswith("zero_momentum"):
+            assert np.all(got.m == 0.0)
+            assert np.all(np.signbit(got.m)) == name.startswith("negative")
+
+    @pytest.mark.parametrize("name", ["vacuum", "shock_beta", "delta", "zero_momentum"])
+    def test_repeated_steps_match_reference(self, name):
+        p, n, lo, hi = EXACT_CASES[name]
+        cfg = config(p, n_cells=n, x_lo=lo, x_hi=hi)
+        got = want = init_state(cfg)
+        for k in range(40):
+            cap = 1e-3 if k % 3 == 0 else None
+            got = step(got, cfg, dt_cap=cap)
+            want = reference_step(want, cfg, dt_cap=cap)
+            assert_bitwise_equal(got, want)
