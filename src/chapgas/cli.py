@@ -95,6 +95,13 @@ def _count(cfg: dict, key: str, default=_REQUIRED) -> int:
     return val
 
 
+def _nonnegative(cfg: dict, key: str, default=_REQUIRED) -> float:
+    num = _number(cfg, key, default)
+    if num < 0.0:
+        raise ValidationError(f"config key '{key}' must be >= 0")
+    return num
+
+
 def _problem(cfg: dict) -> RiemannProblem:
     return RiemannProblem(
         left=PrimState(rho=_number(cfg, "rho_l"), v=_number(cfg, "u_l")),
@@ -231,11 +238,15 @@ def cmd_oracle(cfg: dict, out: str | None) -> int:
         t_end=t_end,
         cfl=_number(cfg, "cfl", 0.45),
     )
-    exclusion = _number(cfg, "exclusion", 0.05)
+    # every gate setting is checked before the march, which dominates the cost
+    exclusion = _nonnegative(cfg, "exclusion", 0.05)
     delta_window = _number(cfg, "delta_window", 0.1)
-    max_offset = _number(cfg, "max_offset_cells", 3.0)
-    plateau_rtol = _number(cfg, "plateau_rtol", 0.02)
-    delta_mass_rtol = _number(cfg, "delta_mass_rtol", 0.15)
+    if not delta_window > 0.0:
+        raise ValidationError("config key 'delta_window' must be > 0")
+    max_offset = _nonnegative(cfg, "max_offset_cells", 3.0)
+    plateau_rtol = _nonnegative(cfg, "plateau_rtol", 0.02)
+    delta_mass_rtol = _nonnegative(cfg, "delta_mass_rtol", 0.15)
+    l1_max = _nonnegative(cfg, "l1_max") if "l1_max" in cfg else None
 
     state = run(fv_cfg)
     offsets = wave_offsets(state, fan)
@@ -262,8 +273,7 @@ def cmd_oracle(cfg: dict, out: str | None) -> int:
         "delta_mass": None,
     }
 
-    if "l1_max" in cfg:
-        l1_max = _number(cfg, "l1_max")
+    if l1_max is not None:
         l1_ok = l1 <= l1_max
         payload["l1_max"] = l1_max
         payload["l1_ok"] = l1_ok

@@ -6,12 +6,20 @@ and flux (v + beta t) (rho, m). The friction enters only through the
 explicit time dependence of the flux, so the scheme is fully conservative
 and comparable cell-by-cell against the exact fan. Deliberately simple and
 structurally unrelated to the closed-form solver.
+
+One ghost cell on each side copies its edge cell (zero-gradient outflow).
+``step`` is pure: it returns a new state with freshly allocated ``rho`` and
+``m`` and never writes to its argument. Its work arrays (the padded fields,
+the speeds and the face fluxes) are made once per grid, by the first step
+of a march, and handed on from state to state in ``FvState.scratch``; this
+keeps the per-step cost of a few-hundred-cell grid from being dominated by
+array allocation and slicing.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -54,6 +62,34 @@ class FvConfig:
             raise ValidationError(f"floor must be a tiny positive density, got {self.floor}")
 
 
+class _Row:
+    """A work array a with its views lo = a[:-1] and hi = a[1:], made once."""
+
+    __slots__ = ("a", "lo", "hi")
+
+    def __init__(self, size: int):
+        self.a = np.empty(size)
+        self.lo, self.hi = self.a[:-1], self.a[1:]
+
+
+class _Scratch:
+    """Work arrays of step for one grid of n cells.
+
+    Cell arrays have n + 2 entries (one ghost cell per side), face arrays
+    n + 1; a face's left and right cells are a cell row's lo and hi. step
+    writes every entry before it reads it, so states of one grid can share
+    a scratch, as long as they are not stepped concurrently.
+    """
+
+    def __init__(self, n: int):
+        self.rho, self.m, self.amax, self.f = (_Row(n + 2) for _ in range(4))
+        self.flux_rho, self.flux_m = _Row(n + 1), _Row(n + 1)
+        self.u, self.gap = np.empty(n + 2), np.empty(n + 2)
+        self.half_a, self.jump = np.empty(n + 1), np.empty(n + 1)
+        self.nonpositive = np.empty(n + 2, dtype=bool)
+        self.low = np.empty(n, dtype=bool)
+
+
 @dataclass
 class FvState:
     """Cell-centred conserved fields plus bookkeeping.
@@ -61,6 +97,8 @@ class FvState:
     clamped counts density-floor activations; boundary_mass/boundary_mom
     accumulate the net influx through the domain ends, so totals satisfy
     sum(q) dx - boundary = const to round-off while no clamping occurs.
+    scratch holds step's work arrays for this grid; it is not part of the
+    state's value.
     """
 
     x: np.ndarray
@@ -70,6 +108,7 @@ class FvState:
     clamped: int = 0
     boundary_mass: float = 0.0
     boundary_mom: float = 0.0
+    scratch: _Scratch | None = field(default=None, repr=False, compare=False)
 
     @property
     def dx(self) -> float:
@@ -87,13 +126,26 @@ def grid(cfg: FvConfig):
     return x_lo + (np.arange(cfg.n_cells) + 0.5) * dx, dx
 
 
+def _velocity(rho, m, g: GasParams, out, nonpositive):
+    """Drift-free velocity (m + A rho**(1-alpha)) / rho, written to out.
+
+    nonpositive is a boolean work array shaped like rho. Raises
+    NonPositiveDensity if any rho <= 0.
+    """
+    if np.count_nonzero(np.less_equal(rho, 0.0, out=nonpositive)):
+        raise NonPositiveDensity("cannot recover velocity at nonpositive density")
+    np.power(rho, 1.0 - g.alpha, out=out)
+    np.multiply(g.A, out, out=out)
+    np.add(m, out, out=out)
+    return np.divide(out, rho, out=out)
+
+
 def primitive_recover(rho, m, g: GasParams):
     """Drift-free velocity v from the conserved pair; rho must be positive."""
     rho = np.asarray(rho, dtype=float)
     m = np.asarray(m, dtype=float)
-    if np.any(rho <= 0.0):
-        raise NonPositiveDensity("cannot recover velocity at nonpositive density")
-    return (m + g.A * rho ** (1.0 - g.alpha)) / rho
+    out = np.empty(np.broadcast_shapes(rho.shape, m.shape))
+    return _velocity(rho, m, g, out, np.empty(rho.shape, dtype=bool))[()]
 
 
 def init_state(cfg: FvConfig) -> FvState:
@@ -106,21 +158,56 @@ def init_state(cfg: FvConfig) -> FvState:
     return FvState(x=x, rho=rho, m=m, t=0.0)
 
 
-def _signal_speeds(rho, m, g: GasParams, t: float):
-    v = primitive_recover(rho, m, g)
-    u = v + g.beta * t
-    gap = g.alpha * g.A / rho ** g.alpha
-    return u, np.maximum(np.abs(u), np.abs(u - gap))
+def _face_flux(u, q: _Row, half_a, sc: _Scratch, out: _Row) -> _Row:
+    """LLF flux 0.5 (f_l + f_r) - (0.5 a) (q_r - q_l) on every face, into out."""
+    f = sc.f
+    np.multiply(u, q.a, out=f.a)
+    np.add(f.lo, f.hi, out=out.a)
+    np.multiply(0.5, out.a, out=out.a)
+    np.subtract(q.hi, q.lo, out=sc.jump)
+    np.multiply(half_a, sc.jump, out=sc.jump)
+    np.subtract(out.a, sc.jump, out=out.a)
+    return out
+
+
+def _update(q, flux: _Row, lam: float):
+    """q - lam (F_r - F_l) in a freshly allocated array."""
+    new = np.subtract(flux.hi, flux.lo)
+    np.multiply(lam, new, out=new)
+    return np.subtract(q, new, out=new)
 
 
 def step(state: FvState, cfg: FvConfig, dt_cap: float | None = None) -> FvState:
-    """One forward-Euler LLF step; dt = cfl dx / max|lambda|, capped."""
+    """One forward-Euler LLF step; dt = cfl dx / max|lambda|, capped.
+
+    Pure: returns a new state with freshly allocated rho and m and leaves
+    state untouched. The work arrays come from state.scratch, are allocated
+    here when state carries none for its grid, and pass on to the returned
+    state. Each ghost cell copies its edge cell (zero-gradient outflow).
+    """
     g = cfg.problem.params
     dx = state.dx
-    rho = np.concatenate(([state.rho[0]], state.rho, [state.rho[-1]]))
-    m = np.concatenate(([state.m[0]], state.m, [state.m[-1]]))
-    u, amax = _signal_speeds(rho, m, g, state.t)
-    peak = float(np.max(amax))
+    n = len(state.rho)
+    sc = state.scratch
+    if sc is None or sc.low.size != n:
+        sc = _Scratch(n)
+    rho, m = sc.rho.a, sc.m.a
+    rho[1:-1] = state.rho
+    m[1:-1] = state.m
+    rho[0], rho[-1] = state.rho[0], state.rho[-1]
+    m[0], m[-1] = state.m[0], state.m[-1]
+
+    u = _velocity(rho, m, g, sc.u, sc.nonpositive)
+    np.add(u, g.beta * state.t, out=u)
+    # signal speeds |u| and |u - alpha A / rho**alpha|; amax is the larger
+    gap = np.power(rho, g.alpha, out=sc.gap)
+    np.divide(g.alpha * g.A, gap, out=gap)
+    np.subtract(u, gap, out=gap)
+    np.abs(gap, out=gap)
+    amax = sc.amax
+    np.abs(u, out=amax.a)
+    np.maximum(amax.a, gap, out=amax.a)
+    peak = float(amax.a.max())
     if not math.isfinite(peak):
         raise CflViolation("wave speeds are not finite")
 
@@ -130,18 +217,17 @@ def step(state: FvState, cfg: FvConfig, dt_cap: float | None = None) -> FvState:
     if not (0.0 < dt < math.inf):
         raise CflViolation(f"no admissible time step (dt = {dt})")
 
-    f_rho = u * rho
-    f_m = u * m
-    a_face = np.maximum(amax[:-1], amax[1:])
-    flux_rho = 0.5 * (f_rho[:-1] + f_rho[1:]) - 0.5 * a_face * (rho[1:] - rho[:-1])
-    flux_m = 0.5 * (f_m[:-1] + f_m[1:]) - 0.5 * a_face * (m[1:] - m[:-1])
+    half_a = np.maximum(amax.lo, amax.hi, out=sc.half_a)
+    np.multiply(0.5, half_a, out=half_a)
+    flux_rho = _face_flux(u, sc.rho, half_a, sc, sc.flux_rho)
+    flux_m = _face_flux(u, sc.m, half_a, sc, sc.flux_m)
 
     lam = dt / dx
-    rho_new = state.rho - lam * (flux_rho[1:] - flux_rho[:-1])
-    m_new = state.m - lam * (flux_m[1:] - flux_m[:-1])
-    n_clamp = int(np.count_nonzero(rho_new < cfg.floor))
+    rho_new = _update(state.rho, flux_rho, lam)
+    m_new = _update(state.m, flux_m, lam)
+    n_clamp = int(np.count_nonzero(np.less(rho_new, cfg.floor, out=sc.low)))
     if n_clamp:
-        rho_new = np.maximum(rho_new, cfg.floor)
+        np.maximum(rho_new, cfg.floor, out=rho_new)
 
     return FvState(
         x=state.x,
@@ -149,8 +235,9 @@ def step(state: FvState, cfg: FvConfig, dt_cap: float | None = None) -> FvState:
         m=m_new,
         t=state.t + dt,
         clamped=state.clamped + n_clamp,
-        boundary_mass=state.boundary_mass + dt * (flux_rho[0] - flux_rho[-1]),
-        boundary_mom=state.boundary_mom + dt * (flux_m[0] - flux_m[-1]),
+        boundary_mass=state.boundary_mass + dt * (flux_rho.a[0] - flux_rho.a[-1]),
+        boundary_mom=state.boundary_mom + dt * (flux_m.a[0] - flux_m.a[-1]),
+        scratch=sc,
     )
 
 

@@ -249,6 +249,52 @@ class TestOracle:
         assert got["passed"] is False
         assert got["l1_ok"] is False
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("exclusion", -0.05),
+            ("delta_window", 0.0),
+            ("delta_window", -0.1),
+            ("max_offset_cells", -1.0),
+            ("plateau_rtol", -0.02),
+            ("delta_mass_rtol", -0.15),
+            ("l1_max", -1.0),
+            ("l1_max", "x"),
+        ],
+    )
+    def test_bad_gate_setting_exits_2_before_the_march(
+        self, tmp_path, capsys, monkeypatch, key, value
+    ):
+        def march(*_args, **_kwargs):
+            raise AssertionError("the finite-volume march ran")
+
+        monkeypatch.setattr("chapgas.cli.run", march)
+        cfg = write_config(tmp_path, dict(DELTA_PROBLEM, n_cells=200, **{key: value}))
+        assert main(["oracle", "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "ValidationError" in captured.err
+        assert key in captured.err
+
+    def test_zero_gate_settings_are_accepted(self, tmp_path):
+        payload = {
+            "rho_l": 2.0,
+            "u_l": 0.7,
+            "rho_r": 2.0,
+            "u_r": 0.7,
+            "A": 0.5,
+            "n_cells": 200,
+            "exclusion": 0.0,
+            "max_offset_cells": 0.0,
+            "plateau_rtol": 0.0,
+            "delta_mass_rtol": 0.0,
+            "l1_max": 0.0,
+        }
+        got = run_json(tmp_path, "oracle", payload)
+        assert got["max_offset_cells"] == 0.0
+        assert got["l1_max"] == 0.0
+        assert got["l1_ok"] is True
+
 
 class TestLimit:
     def test_compression_sweep_reaches_pressureless_speed(self, tmp_path):

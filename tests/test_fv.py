@@ -25,6 +25,7 @@ from chapgas import (
     step,
     wave_offsets,
 )
+import chapgas.fv as fv
 from chapgas.fv import grid
 from helpers import make_problem
 
@@ -377,3 +378,81 @@ class TestExactness:
             got = step(got, cfg, dt_cap=cap)
             want = reference_step(want, cfg, dt_cap=cap)
             assert_bitwise_equal(got, want)
+
+
+class TestStepContract:
+    CFG = config(REGION2, n_cells=200, x_lo=-1.5, x_hi=2.5)
+
+    def test_step_leaves_its_argument_untouched(self):
+        s0 = init_state(self.CFG)
+        fields = (s0.x, s0.rho, s0.m)
+        saved = [a.copy() for a in fields]
+        first = step(s0, self.CFG)
+        second = step(s0, self.CFG)
+        assert all(a is b for a, b in zip((s0.x, s0.rho, s0.m), fields))
+        assert all(np.array_equal(a, b) for a, b in zip(fields, saved))
+        assert (s0.t, s0.clamped, s0.boundary_mass, s0.boundary_mom) == (0.0, 0, 0.0, 0.0)
+        assert s0.scratch is None
+        assert_bitwise_equal(first, second)
+
+        rho1, m1 = first.rho.copy(), first.m.copy()
+        third = step(first, self.CFG)
+        assert np.array_equal(first.rho, rho1)
+        assert np.array_equal(first.m, m1)
+        assert third.rho is not first.rho and third.m is not first.m
+
+    def test_state_without_scratch_steps_alike(self):
+        built = init_state(self.CFG)
+        by_hand = FvState(x=built.x, rho=built.rho.copy(), m=built.m.copy(), t=0.0)
+        assert_bitwise_equal(step(by_hand, self.CFG), step(built, self.CFG))
+
+        stepped = step(built, self.CFG)
+        bare = FvState(
+            x=stepped.x,
+            rho=stepped.rho.copy(),
+            m=stepped.m.copy(),
+            t=stepped.t,
+            clamped=stepped.clamped,
+            boundary_mass=stepped.boundary_mass,
+            boundary_mom=stepped.boundary_mom,
+        )
+        assert stepped.scratch is not None and bare.scratch is None
+        assert_bitwise_equal(step(bare, self.CFG), step(stepped, self.CFG))
+
+    @pytest.mark.parametrize("value", [0.0, -1.0])
+    def test_nonpositive_density_raises(self, value):
+        s0 = init_state(self.CFG)
+        s0.rho[57] = value
+        with pytest.raises(NonPositiveDensity):
+            step(s0, self.CFG)
+
+    def test_infinite_momentum_raises(self):
+        s0 = init_state(self.CFG)
+        s0.m[120] = np.inf
+        with pytest.raises(CflViolation, match="not finite"):
+            step(s0, self.CFG)
+
+    def test_zero_time_step_raises(self):
+        with pytest.raises(CflViolation, match="no admissible time step"):
+            step(init_state(self.CFG), self.CFG, dt_cap=0.0)
+
+    def test_step_budget_raises(self):
+        with pytest.raises(CflViolation, match="within 3 steps"):
+            run(self.CFG, max_steps=3)
+
+    def test_run_calls_the_module_step_once_per_step(self, monkeypatch):
+        calls = []
+        real_step = fv.step
+
+        def counting_step(state, cfg, dt_cap=None):
+            assert len(state.rho) == cfg.n_cells
+            after = real_step(state, cfg, dt_cap=dt_cap)
+            calls.append((state, after))
+            return after
+
+        monkeypatch.setattr(fv, "step", counting_step)
+        final = run(self.CFG)
+        assert calls[0][0].t == 0.0
+        assert all(nxt is prev for (_, prev), (nxt, _) in zip(calls, calls[1:]))
+        assert calls[-1][1] is final
+        assert_bitwise_equal(final, reference_run(self.CFG))
