@@ -7,13 +7,11 @@ explicit time dependence of the flux, so the scheme is fully conservative
 and comparable cell-by-cell against the exact fan. Deliberately simple and
 structurally unrelated to the closed-form solver.
 
-One ghost cell on each side copies its edge cell (zero-gradient outflow).
-``step`` is pure: it returns a new state with freshly allocated ``rho`` and
-``m`` and never writes to its argument. Its work arrays (the padded fields,
-the speeds and the face fluxes) are made once per grid, by the first step
-of a march, and handed on from state to state in ``FvState.scratch``; this
-keeps the per-step cost of a few-hundred-cell grid from being dominated by
-array allocation and slicing.
+One ghost cell per side copies its edge cell (zero-gradient outflow).
+``step`` is pure: it returns a new state with fresh ``rho`` and ``m``. Its
+work arrays are made once per grid, by the first step of a march, and handed
+on in ``FvState.scratch``, because at a few hundred cells a step costs
+mostly per-call overhead (allocation, slicing), not arithmetic.
 """
 
 from __future__ import annotations

@@ -1,5 +1,6 @@
 """Finite-volume oracle: scheme, bookkeeping, locators, measurements."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -418,6 +419,13 @@ class TestStepContract:
         )
         assert stepped.scratch is not None and bare.scratch is None
         assert_bitwise_equal(step(bare, self.CFG), step(stepped, self.CFG))
+
+    def test_scratch_of_another_grid_is_not_reused(self):
+        stepped = step(init_state(self.CFG), self.CFG)
+        cfg = config(REGION1, n_cells=300)
+        fresh = init_state(cfg)
+        carried = dataclasses.replace(fresh, scratch=stepped.scratch)
+        assert_bitwise_equal(step(carried, cfg), step(fresh, cfg))
 
     @pytest.mark.parametrize("value", [0.0, -1.0])
     def test_nonpositive_density_raises(self, value):
