@@ -2,10 +2,12 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from chapgas.cli import main
-from helpers import loads_strict
+from chapgas.waves import SampleKind, evaluate, solve
+from helpers import loads_strict, make_problem
 
 DELTA_PROBLEM = {"rho_l": 1.0, "u_l": 1.0, "rho_r": 1.0, "u_r": -1.0, "A": 0.25, "alpha": 0.5}
 REGION2_PROBLEM = {"rho_l": 1.0, "u_l": 1.8, "rho_r": 2.0, "u_r": 1.2, "A": 1.5, "alpha": 0.5}
@@ -170,6 +172,108 @@ class TestSample:
         cfg = write_config(tmp_path, payload)
         assert main(["sample", "--config", cfg]) == 2
         assert "NonFiniteInput" in capsys.readouterr().err
+
+
+def reference_sample_csv(cfg: dict) -> str:
+    """The sample CSV as the plain per-row writer makes it: every regular
+    row formats its own rho and u with %.17g. cfg must be valid."""
+    fan = solve(
+        make_problem(
+            cfg["rho_l"], cfg["u_l"], cfg["rho_r"], cfg["u_r"],
+            cfg.get("A", 0.0), cfg.get("alpha", 0.5), cfg.get("beta", 0.0),
+        )
+    )
+    x_min, x_max, x_count = float(cfg["x_min"]), float(cfg["x_max"]), cfg["x_count"]
+    loc_tol = float(cfg["loc_tol"]) if "loc_tol" in cfg else None
+
+    def _fmt(v):
+        return f"{float(v):.17g}"
+
+    step = (x_max - x_min) / (x_count - 1)
+    xs = [x_min + i * step for i in range(x_count)]
+    x_cells = [_fmt(x) for x in xs]
+    x_grid = np.array(xs)
+
+    def opt(v) -> str:
+        return "" if v is None else _fmt(v)
+
+    lines = ["x,t,rho,u,kind,weight,u_delta"]
+    for t in [float(t) for t in cfg["times"]]:
+        s = evaluate(fan, x_grid, t, loc_tol)
+        t_cell = _fmt(t)
+        fixed = {
+            SampleKind.VACUUM: f"{t_cell},,,{SampleKind.VACUUM},,",
+            SampleKind.ON_DELTA: f"{t_cell},,,{SampleKind.ON_DELTA},"
+            f"{opt(s.weight)},{opt(s.u_delta)}",
+        }
+        for x_cell, kind, rho, u in zip(x_cells, s.kind.tolist(), s.rho.tolist(), s.u.tolist()):
+            if kind == SampleKind.REGULAR:
+                lines.append(f"{x_cell},{t_cell},{_fmt(rho)},{_fmt(u)},{kind},,")
+            else:
+                lines.append(f"{x_cell},{fixed[kind]}")
+    return "\n".join(lines) + "\n"
+
+
+_TIMES = [0.5, 1.0, 1.75]
+# one config per fan variant, a rarefaction interior, a delta whose loc_tol
+# is the grid step, and signed zeros: -0 and 0 must stay apart in the u column
+PINNED_SAMPLES = {
+    "two_contacts_vacuum": {
+        "rho_l": 1.0, "u_l": -1.0, "rho_r": 1.0, "u_r": 1.0, "beta": 2.0,
+        "x_min": -3.0, "x_max": 3.0, "x_count": 121, "times": _TIMES,
+    },
+    "single_contact": {
+        "rho_l": 2.0, "u_l": 0.5, "rho_r": 1.0, "u_r": 0.5, "A": 0.5, "beta": -1.0,
+        "x_min": -2.0, "x_max": 2.0, "x_count": 97, "times": _TIMES,
+    },
+    "rarefaction_contact": {
+        "rho_l": 1.0, "u_l": 0.0, "rho_r": 0.5, "u_r": 1.2, "A": 1.0, "alpha": 0.3,
+        "x_min": -1.5, "x_max": 3.0, "x_count": 301, "times": _TIMES,
+    },
+    "shock_contact": dict(
+        REGION2_PROBLEM, beta=2.0, x_min=-1.5, x_max=6.5, x_count=200, times=_TIMES
+    ),
+    "delta_shock": dict(
+        DELTA_PROBLEM, beta=-1.0, x_min=-3.0, x_max=2.0, x_count=151, times=_TIMES
+    ),
+    "delta_shock_loc_tol_step": dict(
+        DELTA_PROBLEM, x_min=-1.0, x_max=1.0, x_count=33, loc_tol=2.0 / 32, times=_TIMES
+    ),
+    "signed_zero": {
+        "rho_l": 1, "u_l": -0.0, "rho_r": 2, "u_r": 0.0, "A": 0, "beta": -0.0,
+        "x_min": -1, "x_max": 1, "x_count": 5, "times": [1],
+    },
+}
+
+
+class TestSamplePinned:
+    """sample stdout is pinned byte for byte to the plain per-row writer."""
+
+    @pytest.mark.parametrize("name", sorted(PINNED_SAMPLES))
+    def test_stdout_matches_reference_writer(self, tmp_path, capsys, name):
+        cfg = PINNED_SAMPLES[name]
+        assert main(["sample", "--config", write_config(tmp_path, cfg)]) == 0
+        assert capsys.readouterr().out == reference_sample_csv(cfg)
+
+    def test_pins_cover_their_cases(self):
+        def rows(name):
+            text = reference_sample_csv(PINNED_SAMPLES[name])
+            return [line.split(",") for line in text.splitlines()[1:]]
+
+        for name, cfg in PINNED_SAMPLES.items():
+            variant = solve(
+                make_problem(
+                    cfg["rho_l"], cfg["u_l"], cfg["rho_r"], cfg["u_r"],
+                    cfg.get("A", 0.0), cfg.get("alpha", 0.5), cfg.get("beta", 0.0),
+                )
+            ).variant
+            assert name.startswith(variant) or name == "signed_zero"
+        assert any(r[4] == "vacuum" for r in rows("two_contacts_vacuum"))
+        # the rarefaction interior gives a distinct density at almost every point
+        assert len({r[2] for r in rows("rarefaction_contact")}) > 100
+        # with loc_tol equal to the grid step, several points sit on the delta
+        assert sum(r[4] == "delta" for r in rows("delta_shock_loc_tol_step")) > 3
+        assert {r[3] for r in rows("signed_zero")} == {"-0", "0"}
 
 
 class TestVerify:
