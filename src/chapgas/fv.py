@@ -252,22 +252,30 @@ def run(cfg: FvConfig, max_steps: int = 10_000_000) -> FvState:
     return state
 
 
+def delta_mass_window(x: np.ndarray, center: float, halfwidth: float) -> tuple[int, int]:
+    """First and last index of the cells x with |x - center| <= halfwidth.
+
+    Raises WindowOutOfDomain unless the window holds a cell and the two
+    cells adjacent to it, which give the background, lie inside the domain.
+    """
+    if halfwidth <= 0.0:
+        raise WindowOutOfDomain("window halfwidth must be positive")
+    idx = np.flatnonzero(np.abs(x - center) <= halfwidth)
+    if idx.size == 0:
+        raise WindowOutOfDomain("window contains no cells")
+    lo, hi = int(idx[0]), int(idx[-1])
+    if lo - 1 < 0 or hi + 1 >= x.size:
+        raise WindowOutOfDomain("window (plus background cells) leaves the domain")
+    return lo, hi
+
+
 def measure_delta_mass(state: FvState, center: float, halfwidth: float) -> float:
     """Mass inside |x - center| <= halfwidth above the local background.
 
     The background density is the mean of the two cells adjacent to the
-    window, times the window length. Needs the window plus those two cells
-    inside the domain.
+    window, times the window length. The window is delta_mass_window's.
     """
-    if halfwidth <= 0.0:
-        raise WindowOutOfDomain("window halfwidth must be positive")
-    inside = np.abs(state.x - center) <= halfwidth
-    idx = np.flatnonzero(inside)
-    if idx.size == 0:
-        raise WindowOutOfDomain("window contains no cells")
-    lo, hi = int(idx[0]), int(idx[-1])
-    if lo - 1 < 0 or hi + 1 >= state.x.size:
-        raise WindowOutOfDomain("window (plus background cells) leaves the domain")
+    lo, hi = delta_mass_window(state.x, center, halfwidth)
     dx = state.dx
     raw = float(np.sum(state.rho[lo : hi + 1])) * dx
     background = 0.5 * (state.rho[lo - 1] + state.rho[hi + 1]) * (hi - lo + 1) * dx

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from chapgas import cli
 from chapgas.cli import main
 from chapgas.waves import SampleKind, evaluate, solve
 from helpers import loads_strict, make_problem
@@ -174,15 +175,19 @@ class TestSample:
         assert "NonFiniteInput" in capsys.readouterr().err
 
 
-def reference_sample_csv(cfg: dict) -> str:
-    """The sample CSV as the plain per-row writer makes it: every regular
-    row formats its own rho and u with %.17g. cfg must be valid."""
-    fan = solve(
+def sample_fan(cfg: dict):
+    return solve(
         make_problem(
             cfg["rho_l"], cfg["u_l"], cfg["rho_r"], cfg["u_r"],
             cfg.get("A", 0.0), cfg.get("alpha", 0.5), cfg.get("beta", 0.0),
         )
     )
+
+
+def reference_sample_csv(cfg: dict) -> str:
+    """The sample CSV as the plain per-row writer makes it: every regular
+    row formats its own rho and u with %.17g. cfg must be valid."""
+    fan = sample_fan(cfg)
     x_min, x_max, x_count = float(cfg["x_min"]), float(cfg["x_max"]), cfg["x_count"]
     loc_tol = float(cfg["loc_tol"]) if "loc_tol" in cfg else None
 
@@ -261,19 +266,36 @@ class TestSamplePinned:
             return [line.split(",") for line in text.splitlines()[1:]]
 
         for name, cfg in PINNED_SAMPLES.items():
-            variant = solve(
-                make_problem(
-                    cfg["rho_l"], cfg["u_l"], cfg["rho_r"], cfg["u_r"],
-                    cfg.get("A", 0.0), cfg.get("alpha", 0.5), cfg.get("beta", 0.0),
-                )
-            ).variant
-            assert name.startswith(variant) or name == "signed_zero"
+            assert name.startswith(sample_fan(cfg).variant) or name == "signed_zero"
         assert any(r[4] == "vacuum" for r in rows("two_contacts_vacuum"))
         # the rarefaction interior gives a distinct density at almost every point
         assert len({r[2] for r in rows("rarefaction_contact")}) > 100
         # with loc_tol equal to the grid step, several points sit on the delta
         assert sum(r[4] == "delta" for r in rows("delta_shock_loc_tol_step")) > 3
         assert {r[3] for r in rows("signed_zero")} == {"-0", "0"}
+
+
+class TestFmtEach:
+    """_fmt_each formats like _fmt per element, keyed on the value's bits."""
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [0.0, -0.0, 0.0, -0.0],
+            [1.0, np.nextafter(1.0, 2.0), np.nextafter(1.0, 0.0), 1.0],
+            [5e-324, -5e-324, 2.2250738585072009e-308, np.nextafter(0.0, 1.0)],
+            [1e308, -1e308, np.finfo(float).max, -np.finfo(float).max],
+            [0.1, 0.2, 0.30000000000000004, 0.2, 0.3, 7.0],
+            [np.nan, 2.5, np.nan],
+            [3.25],
+        ],
+    )
+    def test_matches_per_element_fmt(self, values):
+        a = np.array(values, dtype=float)
+        assert cli._fmt_each(a) == [cli._fmt(v) for v in a]
+
+    def test_signed_zeros_keep_their_sign(self):
+        assert cli._fmt_each(np.array([0.0, -0.0, 0.0])) == ["0", "-0", "0"]
 
 
 class TestVerify:
@@ -379,6 +401,21 @@ class TestOracle:
         assert captured.out == ""
         assert "ValidationError" in captured.err
         assert key in captured.err
+
+    @pytest.mark.parametrize("window", [10.0, 0.001])
+    def test_delta_window_off_the_grid_exits_2_before_the_march(
+        self, tmp_path, capsys, monkeypatch, window
+    ):
+        # 10 covers the whole domain; 0.001 holds no cell centre of 1600
+        def march(*_args, **_kwargs):
+            raise AssertionError("the finite-volume march ran")
+
+        monkeypatch.setattr("chapgas.cli.run", march)
+        payload = dict(DELTA_PROBLEM, n_cells=1600, delta_window=window)
+        assert main(["oracle", "--config", write_config(tmp_path, payload)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "WindowOutOfDomain" in captured.err
 
     def test_zero_gate_settings_are_accepted(self, tmp_path):
         payload = {
