@@ -1,6 +1,7 @@
 """Command-line interface: payloads, determinism, exit codes."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -273,6 +274,35 @@ class TestSamplePinned:
         # with loc_tol equal to the grid step, several points sit on the delta
         assert sum(r[4] == "delta" for r in rows("delta_shock_loc_tol_step")) > 3
         assert {r[3] for r in rows("signed_zero")} == {"-0", "0"}
+
+
+def reference_fmt(v) -> str:
+    return f"{float(v):.17g}"
+
+
+class TestFmt:
+    """_fmt writes every float64 exactly as the f-string spelling does."""
+
+    SPECIALS = [
+        0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, -2.2250738585072009e-308,
+        2.2250738585072014e-308, np.finfo(float).max, -np.finfo(float).max,
+        math.inf, -math.inf, math.nan, -math.nan, 1.0, -1.0, 0.1, 1e16, 1e17, 123456789012345678.0,
+    ]
+
+    def test_specials(self):
+        for v in self.SPECIALS:
+            assert cli._fmt(v) == reference_fmt(v)
+            assert cli._fmt(np.float64(v)) == reference_fmt(np.float64(v))
+
+    def test_ints(self):
+        for v in (0, 3, -7, 2**53 + 1):
+            assert cli._fmt(v) == reference_fmt(v)
+
+    def test_seeded_bit_patterns(self):
+        bits = np.random.default_rng(16).integers(0, 2**64, size=100_000, dtype=np.uint64)
+        values = bits.view(np.float64)
+        assert [cli._fmt(v) for v in values.tolist()] == [reference_fmt(v) for v in values.tolist()]
+        assert [cli._fmt(v) for v in values] == [reference_fmt(v) for v in values]
 
 
 class TestFmtEach:

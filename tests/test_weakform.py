@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from chapgas import (
+    ChapgasError,
     DeltaShockWave,
     NonFiniteInput,
     TestFunction,
@@ -29,6 +30,36 @@ VACUUM = make_problem(1.0, -1.0, 1.0, 1.0, beta=-1.0)
 CONTACT = make_problem(2.0, 0.5, 1.0, 0.5, a=0.5)
 
 ALL_FANS = [REGION1, REGION2, REGION3, PLESS_DELTA, VACUUM, CONTACT]
+
+# thin region-II shock-contact strips: a few nodes of the star strip round
+# onto its edges, so those strips must keep the per-point profile
+THIN_FAIL_TO_PASS = make_problem(
+    2.3654770044225333, 8.28080064205011, 11.729740163780688, 1.4101975692004238,
+    a=11.856959214450118, alpha=0.028655694282015823, beta=2.498937130399818,
+)
+THIN_PASS_TO_FAIL = make_problem(
+    10.745003502911016, 15.716807340838983, 0.12566073182088605, 6.998056175718018,
+    a=26.26106516867096, alpha=0.013972570130356757, beta=2.6900481028623418,
+)
+# region II with a star density of about 2e29
+HUGE_STAR = make_problem(
+    6.4630484387332325, -16.409068501417842, 41.60643376739215, -17.209138986919385,
+    a=1.3557018708407524, alpha=0.01419833529644283, beta=-4.647632987739987,
+)
+VACUUM_DRIFT = make_problem(0.3, -2.0, 5.0, 1.5, beta=2.5)
+
+
+def draw_wide_problem(rng):
+    """One draw over the property-test ranges (tests/test_fan_property.py)."""
+    rho_l, rho_r = 10.0 ** rng.uniform(-4.0, 4.0, size=2)
+    u_l, u_r = rng.uniform(-50.0, 50.0, size=2)
+    if rng.integers(5) == 0:
+        u_r = u_l
+    alpha = rng.uniform(0.01, 0.99)
+    beta = rng.uniform(-5.0, 5.0)
+    a_ref = rho_l**alpha * (u_l - u_r if u_l > u_r else 1.0)
+    a = 3.0 * a_ref * rng.uniform() if rng.integers(5) else 0.0
+    return make_problem(rho_l, u_l, rho_r, u_r, a=a, alpha=alpha, beta=beta)
 
 
 def battery_maxima(p, orders):
@@ -176,6 +207,38 @@ class TestExactness:
         for psi in residual_battery(fan):
             got = weak_residual(p, fan, psi, quad_n)
             assert got == reference_weak_residual(p, fan, psi, quad_n)
+
+    def test_all_inside_pair_matches_reference_factors(self):
+        # every s strictly inside (-1, 1), the innermost floats included
+        s = np.concatenate((np.linspace(-1.0, 1.0, 257)[1:-1], self.EDGES[1:2], -self.EDGES[1:2]))
+        assert np.all(np.abs(s) < 1.0)
+        for shaped in (s, s.reshape(-1, 1), s[:256].reshape(16, 16)):
+            b, db = _bump_pair(shaped)
+            assert np.array_equal(b, reference_bump(shaped))
+            assert np.array_equal(db, reference_dbump(shaped))
+
+    @pytest.mark.parametrize(
+        "p, quad_n",
+        [(THIN_FAIL_TO_PASS, 128), (THIN_PASS_TO_FAIL, 128), (HUGE_STAR, 64)]
+        + [(VACUUM_DRIFT, n) for n in (16, 64, 128)],
+        ids=["thin_fail_to_pass", "thin_pass_to_fail", "huge_star", "vacuum16", "vacuum64", "vacuum128"],
+    )
+    def test_pinned_battery_equals_reference(self, p, quad_n):
+        fan = solve(p)
+        for psi in residual_battery(fan):
+            assert weak_residual(p, fan, psi, quad_n) == reference_weak_residual(p, fan, psi, quad_n)
+
+    def test_seeded_wide_sweep_equals_reference(self):
+        rng = np.random.default_rng(20170627)
+        for _ in range(200):
+            p = draw_wide_problem(rng)
+            try:
+                fan = solve(p)
+                battery = residual_battery(fan)
+            except ChapgasError:
+                continue
+            for psi in battery:
+                assert weak_residual(p, fan, psi, 16) == reference_weak_residual(p, fan, psi, 16)
 
     def test_sabotaged_delta_equals_reference(self):
         fan = solve(REGION3)
