@@ -48,7 +48,7 @@ _REQUIRED = object()
 
 
 def _fmt(v: float) -> str:
-    return f"{float(v):.17g}"
+    return "%.17g" % float(v)
 
 
 def _fmt_each(a: np.ndarray) -> list[str]:

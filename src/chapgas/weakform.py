@@ -40,9 +40,13 @@ def _bump_pair(s):
     orders at |s| = 1 and are zero outside.
     """
     s = np.asarray(s, dtype=float)
+    inside = np.abs(s) < 1.0
+    if inside.all():
+        g = 1.0 - s * s
+        b = np.exp(-1.0 / g)
+        return b, b * (-2.0 * s / (g * g))
     b = np.zeros(s.shape)
     db = np.zeros(s.shape)
-    inside = np.abs(s) < 1.0
     si = s[inside]
     g = 1.0 - si * si
     e = np.exp(-1.0 / g)
@@ -127,6 +131,7 @@ def weak_residual(p: RiemannProblem, fan: WaveFan, psi: TestFunction, quad_n: in
     t_lo, t_hi = psi.t0 - psi.rt, psi.t0 + psi.rt
     x_lo, x_hi = psi.x0 - psi.rx, psi.x0 + psi.rx
     paths = [wave.path for wave in fan.waves]
+    ordered = all(a.c <= b.c for a, b in zip(paths[:-1], paths[1:]))
 
     cuts = {t_lo, t_hi}
     for path in paths:
@@ -153,14 +158,26 @@ def weak_residual(p: RiemannProblem, fan: WaveFan, psi: TestFunction, quad_n: in
             rows.append(np.clip(path.c * tj + half, x_lo, x_hi))
         rows.append(np.full(tj.shape, x_hi))
 
-        for lo, hi in zip(rows[:-1], rows[1:]):
+        for k, (lo, hi) in enumerate(zip(rows[:-1], rows[1:])):
             width = hi - lo
             if not np.any(width > 0.0):
                 continue
             X = lo[:, None] + width[:, None] * (0.5 * (nodes[None, :] + 1.0))
+            seg = fan.states[k]
+            # with the waves in order, a strip whose every node lies strictly
+            # between its two waves is segment k alone, as _profile would
+            # find node by node; X grows along each row, so the end columns
+            # decide
+            inside = ordered and np.all(lo < X[:, 0]) and np.all(X[:, -1] < hi)
+            if inside and seg is not None:
+                rho = np.full(t_col.shape, seg.rho)
+                u = seg.v + g.beta * t_col
+            elif inside and fan.is_vacuum(k):
+                continue  # every term is a signed zero
+            else:
+                rho, u = _profile(fan, X, t_col)
             W = (wj * 0.5 * width)[:, None] * wts[None, :]
 
-            rho, u = _profile(fan, X, t_col)
             mom = rho * u - g.A * rho ** (1.0 - g.alpha)
             bx, dbx = psi.x_factors(X)
             psi_t = bx * dbt_rt

@@ -228,6 +228,18 @@ class TestExactness:
         for psi in residual_battery(fan):
             assert weak_residual(p, fan, psi, quad_n) == reference_weak_residual(p, fan, psi, quad_n)
 
+    def test_out_of_order_waves_equal_reference(self):
+        # solve can leave S1.c an ulp above J.c; with the contact well left of
+        # the shock, nodes right of J but left of S1 take the left state
+        fan = solve(REGION2)
+        shock, contact = fan.waves
+        early = contact._replace(path=replace(contact.path, c=shock.path.c - 0.3))
+        skewed = replace(fan, waves=(shock, early))
+        for psi in residual_battery(fan):
+            assert weak_residual(REGION2, skewed, psi, 64) == reference_weak_residual(
+                REGION2, skewed, psi, 64
+            )
+
     def test_seeded_wide_sweep_equals_reference(self):
         rng = np.random.default_rng(20170627)
         for _ in range(200):
