@@ -16,8 +16,17 @@ sees a smooth integrand.
 The bump factors of psi are evaluated once per strip, each pair (b, b')
 with one exp: the t factors once per time panel on its n nodes, the x
 factors once on the strip's n x n grid; psi, psi_x and psi_t are their
-broadcast products. Time enters the profile evaluation as a column of the n
-nodes and is never expanded to the grid.
+broadcast products. A pair whose every argument lies inside the support is
+taken on the whole array; otherwise only the inside entries are computed.
+
+Each strip lies between two adjacent wave paths, so strip k is segment
+fan.states[k]. When the waves are in order and every node lies strictly
+between the strip's two paths, a constant segment enters as columns of its
+rho and u over the n time nodes, and a vacuum strip is skipped, since
+every term there is a signed zero. A rarefaction interior, or a strip with
+a node on or past a path (a strip thinner than a few ulps), falls back to
+the per-point waves._profile. Either way the residuals are bit for bit the
+per-point ones. Time is never expanded to the grid.
 """
 
 from __future__ import annotations
@@ -33,25 +42,27 @@ from .states import RiemannProblem
 from .waves import WaveFan, _profile
 
 
+def _bump_inside(s):
+    """(b, b') on an array whose every entry has |s| < 1, with one exp."""
+    g = 1.0 - s * s
+    b = np.exp(-1.0 / g)
+    return b, b * (-2.0 * s / (g * g))
+
+
 def _bump_pair(s):
     """C-infinity bump b(s) = exp(-1/(1-s^2)) on |s| < 1 and its derivative.
 
-    Both factors come from one masked pass with one exp; both vanish to all
+    Both factors come from one pass with one exp, over the whole array when
+    every |s| < 1 and over the inside entries otherwise; both vanish to all
     orders at |s| = 1 and are zero outside.
     """
     s = np.asarray(s, dtype=float)
     inside = np.abs(s) < 1.0
     if inside.all():
-        g = 1.0 - s * s
-        b = np.exp(-1.0 / g)
-        return b, b * (-2.0 * s / (g * g))
+        return _bump_inside(s)
     b = np.zeros(s.shape)
     db = np.zeros(s.shape)
-    si = s[inside]
-    g = 1.0 - si * si
-    e = np.exp(-1.0 / g)
-    b[inside] = e
-    db[inside] = e * (-2.0 * si / (g * g))
+    b[inside], db[inside] = _bump_inside(s[inside])
     return b, db
 
 
@@ -164,12 +175,12 @@ def weak_residual(p: RiemannProblem, fan: WaveFan, psi: TestFunction, quad_n: in
                 continue
             X = lo[:, None] + width[:, None] * (0.5 * (nodes[None, :] + 1.0))
             seg = fan.states[k]
-            # with the waves in order, a strip whose every node lies strictly
-            # between its two waves is segment k alone, as _profile would
-            # find node by node; X grows along each row, so the end columns
-            # decide
+            # X grows along each row, so its end columns decide whether every
+            # node lies strictly between the strip's two paths
             inside = ordered and np.all(lo < X[:, 0]) and np.all(X[:, -1] < hi)
             if inside and seg is not None:
+                # an array, so rho ** e below is NumPy's power: a Python float
+                # power differs from it in the last bit for some values
                 rho = np.full(t_col.shape, seg.rho)
                 u = seg.v + g.beta * t_col
             elif inside and fan.is_vacuum(k):
