@@ -62,12 +62,6 @@ class DeltaShockWave:
 
 
 def _require_delta_data(p: RiemannProblem) -> None:
-    if p.params.pressureless:
-        if not p.left.v > p.right.v:
-            raise RegionMismatch(
-                "pressureless delta shock requires compressive data u_l > u_r"
-            )
-        return
     region = classify_region(p)
     if region not in (Region.III, Region.OnSdelta):
         raise RegionMismatch(f"delta shock requires region III data, got {region.value}")
@@ -168,13 +162,13 @@ def grh_residual(p: RiemannProblem, wave: DeltaShockWave, t: float):
 def entropy_check(p: RiemannProblem, wave: DeltaShockWave, t: float = 0.0) -> bool:
     """Overcompressivity: u_r <= v_delta <= u_l - A/rho_l**alpha.
 
-    At A = 0 the upper bound is u_l. The condition is time-invariant (every
-    term in the time-shifted bracket drifts by the same beta t, so t does not
-    enter the comparison). Comparisons allow a round-off margin and admit
-    boundary data with equality.
+    At A = 0 chap is 0.0, so the upper bound is u_l. The condition is
+    time-invariant (every term in the time-shifted bracket drifts by the
+    same beta t, so t does not enter the comparison). Comparisons allow a
+    round-off margin and admit boundary data with equality.
     """
     tol = 1e-12 * problem_scale(p)
-    upper = p.left.v - p.params.chap(p.left.rho) if p.params.A > 0.0 else p.left.v
+    upper = p.left.v - p.params.chap(p.left.rho)
     return (wave.v_delta >= p.right.v - tol) and (wave.v_delta <= upper + tol)
 
 

@@ -26,7 +26,7 @@ class NonFiniteInput(ValidationError):
 
 
 class PressurelessNotApplicable(ChapgasError):
-    """Phase-plane classification is undefined at A = 0; order u_l, u_r instead."""
+    """The requested construction needs A > 0 (a rarefaction or a star state)."""
 
 
 class RegionMismatch(ChapgasError):

@@ -332,26 +332,26 @@ def wave_offsets(state: FvState, fan: WaveFan):
     Waves with no density jump (constant data still has a formal contact)
     carry no locatable signal and are omitted as well.
     """
-    positions = wave_positions(fan, state.t)
+    positions = [wave.path.position(state.t) for wave in fan.waves]
     span = float(state.x[-1] - state.x[0])
     dx = state.dx
     out = []
-    for k, (label, pos) in enumerate(positions):
-        if label.startswith("R1."):
+    for k, (wave, pos) in enumerate(zip(fan.waves, positions)):
+        if wave.kind in ("head", "tail"):
             continue
-        if label != "Sdelta":
+        if wave.kind != "delta":
             eps = 1e-9 * max(1.0, abs(pos))
             sides = _profile(fan, np.array([pos - eps, pos + eps]), state.t)[0]
             if abs(sides[1] - sides[0]) <= 1e-9 * max(1.0, sides[0], sides[1]):
                 continue
-        gaps = [abs(pos - q) for j, (_, q) in enumerate(positions) if j != k]
+        gaps = [abs(pos - q) for j, q in enumerate(positions) if j != k]
         halfwidth = min(gaps) * 0.45 if gaps else 0.15 * span
         halfwidth = max(5.0 * dx, min(halfwidth, 0.15 * span))
-        if label == "Sdelta":
+        if wave.kind == "delta":
             found = locate_peak(state, pos, halfwidth)
             method = "peak"
         else:
             found = locate_jump(state, pos, halfwidth)
             method = "jump"
-        out.append((label, method, (found - pos) / dx))
+        out.append((wave.label, method, (found - pos) / dx))
     return out

@@ -25,7 +25,6 @@ from .errors import (
     NegativeAmplitude,
     NonFiniteInput,
     NonPositiveDensity,
-    PressurelessNotApplicable,
 )
 
 
@@ -178,7 +177,9 @@ def riemann_invariants(state: PrimState, g: GasParams):
 def pressureless_case(p: RiemannProblem) -> str:
     """Ordering of the data velocities: 'expansion', 'contact' or 'compression'.
 
-    This is the classification that replaces the phase plane at A = 0.
+    This is the pressureless limit of the phase plane: regions I, OnJ and
+    the compressive rest (II, OnSdelta, III) map to the three cases, and at
+    A = 0 classify_region gives the same answer.
     """
     if p.left.v < p.right.v:
         return "expansion"
@@ -190,12 +191,12 @@ def pressureless_case(p: RiemannProblem) -> str:
 def classify_region(p: RiemannProblem) -> Region:
     """Locate the right state in the phase plane cut by the left state's curves.
 
-    Comparisons are exact; boundary data land on the boundary tags.
+    Comparisons are exact; boundary data land on the boundary tags. Every
+    valid problem is classified. At A = 0 the lower line coincides with the
+    contact line (w_l is u_l bit for bit), so region II is empty and the
+    result is OnJ, I or III as u_r equals, exceeds or falls below u_l: the
+    pressureless contact, expansion and compression of pressureless_case.
     """
-    if p.params.pressureless:
-        raise PressurelessNotApplicable(
-            "phase-plane classification requires A > 0; order u_l, u_r instead"
-        )
     u_l = p.left.v
     u_r = p.right.v
     w_l = u_l - p.params.chap(p.left.rho)

@@ -127,8 +127,7 @@ def _delta_rows(rows: list[CheckRow], fan: WaveFan, scale: float) -> None:
         rows.append(
             _absrow(f"delta.source.{tl}", c_identity_residual(p, wave, t), 1e-10 * scale**3)
         )
-    g = p.params
-    upper = p.left.v - g.chap(p.left.rho) if g.A > 0.0 else p.left.v
+    upper = p.left.v - p.params.chap(p.left.rho)
     margin = min(wave.v_delta - p.right.v, upper - wave.v_delta)
     row = _marginrow("delta.entropy", margin, 1e-12 * scale)
     if row.ok != entropy_check(p, wave):

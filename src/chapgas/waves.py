@@ -34,7 +34,6 @@ from .states import (
     Region,
     RiemannProblem,
     classify_region,
-    pressureless_case,
 )
 
 
@@ -100,18 +99,24 @@ class WaveFan:
 def intermediate_state(p: RiemannProblem) -> PrimState:
     """Star state joining the 1-wave through the left state to the contact.
 
-    Solves v* - A/rho***alpha = w_l with v* = u_r. Defined for regions I and
-    II (and degenerately on the contact boundary); compressive region III
-    data have no classical intermediate state.
+    Solves v* - A/rho***alpha = w_l with v* = u_r. Needs A > 0 (raises
+    PressurelessNotApplicable at A = 0) and is defined for regions I and II
+    (and degenerately on the contact boundary); compressive region III data
+    have no classical intermediate state. Raises DensityOutOfRange when rho*
+    leaves the float64 range, which includes region-II data so close to the
+    S_delta line that A/rho***alpha rounds to zero.
     """
+    g = p.params
+    if g.pressureless:
+        raise PressurelessNotApplicable("the intermediate state requires A > 0")
     region = classify_region(p)
     if region in (Region.III, Region.OnSdelta):
         raise RegionMismatch(f"no intermediate state in region {region.value}")
-    g = p.params
-    # chap(rho_star) must equal u_r - u_l + chap(rho_l), positive here
+    # chap(rho_star) must equal u_r - u_l + chap(rho_l), positive here in
+    # exact arithmetic; in floats it can round to 0, and rho_star is then huge
     gap = p.right.v - p.left.v + g.chap(p.left.rho)
     try:
-        rho_star = (g.A / gap) ** (1.0 / g.alpha)
+        rho_star = (g.A / gap) ** (1.0 / g.alpha) if gap > 0.0 else math.inf
     except OverflowError:
         rho_star = math.inf
     if not 0.0 < rho_star < math.inf:
@@ -148,37 +153,26 @@ def rarefaction_state(xi: float, t: float, left: PrimState, g: GasParams) -> Pri
     return PrimState(rho=rho, v=v)
 
 
-def _contact_fan(p: RiemannProblem) -> WaveFan:
-    wave = Wave("J", "contact", ParabolicPath(p.left.v, p.params.beta))
-    return WaveFan(p, (wave,), (p.left, p.right))
-
-
-def _delta_fan(p: RiemannProblem) -> WaveFan:
-    delta = make_delta_wave(p)
-    return WaveFan(p, (Wave("Sdelta", "delta", delta.path),), (p.left, p.right), delta)
-
-
 def solve(p: RiemannProblem) -> WaveFan:
-    """Construct the exact wave fan for the Riemann problem."""
+    """Construct the exact wave fan for the Riemann problem.
+
+    One classify_region dispatch covers every A >= 0. At A = 0 region II is
+    empty, and region I opens a vacuum between two contacts where A > 0
+    opens a rarefaction.
+    """
     g = p.params
     beta = g.beta
     u_l, u_r = p.left.v, p.right.v
-
-    if g.pressureless:
-        case = pressureless_case(p)
-        if case == "expansion":
-            waves = (
-                Wave("J1", "contact", ParabolicPath(u_l, beta)),
-                Wave("J2", "contact", ParabolicPath(u_r, beta)),
-            )
-            return WaveFan(p, waves, (p.left, None, p.right))
-        if case == "contact":
-            return _contact_fan(p)
-        return _delta_fan(p)
-
     region = classify_region(p)
     if region is Region.OnJ:
-        return _contact_fan(p)
+        wave = Wave("J", "contact", ParabolicPath(u_l, beta))
+        return WaveFan(p, (wave,), (p.left, p.right))
+    if region is Region.I and g.pressureless:
+        waves = (
+            Wave("J1", "contact", ParabolicPath(u_l, beta)),
+            Wave("J2", "contact", ParabolicPath(u_r, beta)),
+        )
+        return WaveFan(p, waves, (p.left, None, p.right))
     if region is Region.I:
         star = intermediate_state(p)
         head = u_l - g.alpha * g.chap(p.left.rho)
@@ -199,7 +193,8 @@ def solve(p: RiemannProblem) -> WaveFan:
             Wave("J", "contact", ParabolicPath(u_r, beta)),
         )
         return WaveFan(p, waves, (p.left, star, p.right))
-    return _delta_fan(p)
+    delta = make_delta_wave(p)
+    return WaveFan(p, (Wave("Sdelta", "delta", delta.path),), (p.left, p.right), delta)
 
 
 def wave_positions(fan: WaveFan, t: float):

@@ -586,6 +586,20 @@ class TestStarDensityRange:
         assert main([command, "--config", cfg]) == 2
         assert "DensityOutOfRange" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["solve", "verify", "sample", "oracle"])
+    def test_zero_gap_exits_2(self, tmp_path, capsys, command):
+        # region-II data one ulp above the S_delta line: A/rho***alpha rounds
+        # to 0, so rho* is past the float64 range
+        payload = {
+            "rho_l": 1.0, "u_l": 0.27243838496098977, "rho_r": 2.0,
+            "u_r": 0.01584994011020891, "A": 0.25658844485078086, "alpha": 0.5,
+        }
+        cfg = write_config(tmp_path, payload)
+        assert main([command, "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "DensityOutOfRange" in captured.err
+
     def test_jump_flux_overflow_exits_2(self, tmp_path, capsys):
         # rho* ~ 5e307 is finite, but the shock's momentum flux is not
         payload = {

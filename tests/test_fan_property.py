@@ -1,5 +1,8 @@
 """Property test: valid data give a typed error or a well-formed wave fan.
 
+On every draw the phase-plane region, the pressureless case and the fan's
+variant agree, at A = 0 as at A > 0.
+
 Draws cover wide but valid ranges: densities 1e-4..1e4, |u| <= 50, alpha in
 0.01..0.99, A from 0 to three times the compressive threshold A0 (or the
 same multiple of rho_l**alpha when the data are not compressive) and beta in
@@ -11,7 +14,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chapgas import ChapgasError, problem_scale, solve
+from chapgas import ChapgasError, classify_region, pressureless_case, problem_scale, solve
 from chapgas.waves import _profile
 from helpers import make_problem
 
@@ -44,14 +47,30 @@ def _probe_points(positions):
     return points
 
 
+# the variant each phase-plane region gives at A > 0, and the pressureless
+# case it reduces to
+_REGION_FANS = {
+    "I": ("rarefaction_contact", "expansion"),
+    "OnJ": ("single_contact", "contact"),
+    "II": ("shock_contact", "compression"),
+    "OnSdelta": ("delta_shock", "compression"),
+    "III": ("delta_shock", "compression"),
+}
+
+
 @settings(max_examples=400, derandomize=True, database=None, deadline=None)
 @given(p=problems(), t=st.floats(0.1, 10.0))
 def test_fan_is_well_formed(p, t):
+    region = classify_region(p)
+    variant, case = _REGION_FANS[region.value]
+    assert pressureless_case(p) == case
+    if region.value == "I" and p.params.pressureless:
+        variant = "two_contacts_vacuum"
     try:
         fan = solve(p)
     except ChapgasError:
         return
-    assert fan.variant
+    assert fan.variant == variant
     assert len(fan.states) == len(fan.waves) + 1
     assert fan.states[0] == p.left and fan.states[-1] == p.right
 

@@ -14,7 +14,6 @@ from chapgas import (
     NonFiniteInput,
     NonPositiveDensity,
     ParabolicPath,
-    PressurelessNotApplicable,
     PrimState,
     Region,
     RiemannProblem,
@@ -194,9 +193,13 @@ class TestPressurelessCase:
 
 
 class TestClassifyRegion:
-    def test_requires_pressure(self):
-        with pytest.raises(PressurelessNotApplicable):
-            classify_region(make_problem(1.0, 1.0, 1.0, 0.0, a=0.0))
+    @pytest.mark.parametrize("a", [0.0, -0.0], ids=["zero", "negative-zero"])
+    @pytest.mark.parametrize(
+        "u_r, region", [(2.0, Region.I), (1.0, Region.OnJ), (0.0, Region.III)]
+    )
+    def test_pressureless_data(self, a, u_r, region):
+        # at A = 0 the S_delta line is the contact line, so region II is empty
+        assert classify_region(make_problem(1.0, 1.0, 2.0, u_r, a=a)) is region
 
     def test_contract_examples(self):
         assert classify_region(make_problem(1.0, 1.0, 1.0, 2.0, a=0.25)) is Region.I

@@ -10,9 +10,11 @@ from chapgas import (
     OutsideFan,
     PressurelessNotApplicable,
     PrimState,
+    Region,
     RegionMismatch,
     SampleKind,
     SolutionSlice,
+    classify_region,
     evaluate,
     intermediate_state,
     problem_scale,
@@ -69,6 +71,26 @@ class TestIntermediateState:
             intermediate_state(p)
         with pytest.raises(DensityOutOfRange):
             solve(p)
+
+    def test_star_density_past_range_at_zero_gap(self):
+        # one ulp above the S_delta line: the data classify as region II, but
+        # (u_r - u_l) + A/rho_l**alpha, which is A/rho***alpha, rounds to 0
+        p = make_problem(
+            1.0, 0.27243838496098977, 2.0, 0.01584994011020891, a=0.25658844485078086
+        )
+        assert classify_region(p) is Region.II
+        assert p.right.v - p.left.v + p.params.chap(p.left.rho) == 0.0
+        with pytest.raises(DensityOutOfRange):
+            intermediate_state(p)
+        with pytest.raises(DensityOutOfRange):
+            solve(p)
+
+    @pytest.mark.parametrize("a", [0.0, -0.0], ids=["zero", "negative-zero"])
+    @pytest.mark.parametrize("u_r", [2.0, 1.0, 0.0], ids=["I", "OnJ", "III"])
+    def test_pressureless_rejected(self, a, u_r):
+        # with no pressure there is no 1-wave, and (A/gap) is 0/0 on contact data
+        with pytest.raises(PressurelessNotApplicable):
+            intermediate_state(make_problem(1.0, 1.0, 2.0, u_r, a=a))
 
     def test_shock_speed_overflow(self):
         # rho* ~ 1e308 is finite, but rho* v* in the shock speed overflows
