@@ -1,0 +1,136 @@
+"""A/B benchmark of the working tree against a parent commit.
+
+Run from the repository root:
+
+    python3 bench/ab.py --out BENCH_11.json --pairs 10 --seconds 30
+
+The parent commit (``--base``; ``HEAD`` compares uncommitted changes with
+their commit, ``HEAD~1`` the last commit with its parent) is added as a git
+worktree in a scratch directory, which is removed afterwards. For every
+workload in BENCHMARK.json (or those named by ``--workloads``), N pairs of
+``perfbench/run.py`` runs follow, one seed per pair from ``--seed`` upwards,
+with the side that runs first alternating. Then each side has one traced
+run on ``--seed``. The output file holds, per workload and end-to-end metric,
+each side's runs, median and quartiles, the change's wins out of the pairs
+(ties count for neither), whether the change's median is worse than the
+parent's by more than the metric's bound in BENCHMARK.json, whether the gain
+rule holds (wins in at least 9 of 10 pairs and a median gap wider than the
+parent's interquartile range), and the traced per-layer metrics; also the
+host, Python and NumPy versions that the runs report.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+
+def git(*args: str, cwd: Path) -> str:
+    return subprocess.run(
+        ["git", *args], cwd=cwd, check=True, capture_output=True, text=True
+    ).stdout.strip()
+
+
+def bench_run(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+    """One perfbench run; its result line, env line and exit code."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+           "--seconds", str(seconds), "--trace", str(trace)]
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    lines = proc.stdout.splitlines()
+    out = {"seed": seed, "exit": proc.returncode}
+    if proc.returncode != 0 or not lines:
+        out["error"] = proc.stderr[-2000:]
+        return out
+    out.update(json.loads(lines[-1]))
+    env = [ln for ln in lines if ln.startswith("env: ")]
+    if env:
+        out["env"] = json.loads(env[0][len("env: "):])
+    return out
+
+
+def summary(values: list[float]) -> dict:
+    if not values:
+        return {"runs": [], "median": None, "q1": None, "q3": None}
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else values * 3
+    return {"runs": values, "median": statistics.median(values), "q1": q1, "q3": q3}
+
+
+def compare(metric: dict, parent_runs: list[dict], change_runs: list[dict]) -> dict:
+    """Both sides of one end-to-end metric over the pairs where both ran."""
+    name, higher = metric["name"], metric["better"] == "higher"
+    pairs = [(p, c) for p, c in zip(parent_runs, change_runs) if "metrics" in p and "metrics" in c]
+    par = [p["metrics"][name]["value"] for p, _ in pairs]
+    chg = [c["metrics"][name]["value"] for _, c in pairs]
+    wins = sum((c > p) if higher else (c < p) for p, c in zip(par, chg))
+    out = {"unit": metric["unit"], "better": metric["better"], "bound": metric["bound"],
+           "parent": summary(par), "change": summary(chg), "wins": wins, "of": len(pairs)}
+    if pairs:
+        pm, cm = out["parent"]["median"], out["change"]["median"]
+        limit = pm * (1.0 - metric["bound"]) if higher else pm * (1.0 + metric["bound"])
+        out["worse_than_bound"] = cm < limit if higher else cm > limit
+        gap = (cm - pm) if higher else (pm - cm)
+        iqr = out["parent"]["q3"] - out["parent"]["q1"]
+        out["gain"] = wins >= 0.9 * len(pairs) and gap > iqr
+    return out
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--out", required=True, help="output file, e.g. BENCH_11.json")
+    ap.add_argument("--base", default="HEAD", help="parent commit (default HEAD)")
+    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--seconds", type=float, default=30.0)
+    ap.add_argument("--seed", type=int, default=201)
+    ap.add_argument("--workloads", nargs="*", help="default: every workload in BENCHMARK.json")
+    args = ap.parse_args(argv)
+
+    root = Path(git("rev-parse", "--show-toplevel", cwd=Path.cwd()))
+    spec = json.loads((root / "BENCHMARK.json").read_text(encoding="utf-8"))
+    workloads = args.workloads or [w["name"] for w in spec["workloads"]]
+    base = git("rev-parse", args.base, cwd=root)
+    change = git("rev-parse", "HEAD", cwd=root)
+    if git("status", "--porcelain", "--untracked-files=no", cwd=root):
+        change += "+uncommitted"
+
+    record = {"base": base, "change": change, "pairs": args.pairs, "seconds": args.seconds,
+              "seeds": list(range(args.seed, args.seed + args.pairs)), "workloads": {}}
+    scratch = Path(tempfile.mkdtemp(prefix="ab-"))
+    parent = scratch / "parent"
+    git("worktree", "add", "--detach", str(parent), base, cwd=root)
+    try:
+        for workload in workloads:
+            runs = {"parent": [], "change": []}
+            for i, seed in enumerate(record["seeds"]):
+                order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+                for side in order:
+                    run = bench_run(parent if side == "parent" else root, workload, seed, args.seconds, 0)
+                    runs[side].append(run)
+                    print(f"{workload} seed {seed} {side}: "
+                          + json.dumps(run.get("metrics", run.get("error"))), flush=True)
+            traced = {side: bench_run(parent if side == "parent" else root, workload, args.seed,
+                                      args.seconds, 1) for side in ("parent", "change")}
+            record["workloads"][workload] = {
+                "end_to_end": {m["name"]: compare(m, runs["parent"], runs["change"])
+                               for m in spec["end_to_end"]},
+                "failed": {side: [r.get("failed") for r in rs] for side, rs in runs.items()},
+                "errors": {side: [r["error"] for r in rs if "error" in r] for side, rs in runs.items()},
+                "per_layer": {side: {k: v["value"] for k, v in t.get("metrics", {}).items()}
+                              for side, t in traced.items()},
+            }
+            envs = [r["env"] for rs in runs.values() for r in rs if "env" in r]
+            if envs:
+                record["env"] = envs[0]
+    finally:
+        git("worktree", "remove", "--force", str(parent), cwd=root)
+        scratch.rmdir()
+    Path(args.out).write_text(json.dumps(record, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

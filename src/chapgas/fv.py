@@ -8,10 +8,28 @@ and comparable cell-by-cell against the exact fan. Deliberately simple and
 structurally unrelated to the closed-form solver.
 
 One ghost cell per side copies its edge cell (zero-gradient outflow).
-``step`` is pure: it returns a new state with fresh ``rho`` and ``m``. Its
-work arrays are made once per grid, by the first step of a march, and handed
-on in ``FvState.scratch``, because at a few hundred cells a step costs
-mostly per-call overhead (allocation, slicing), not arithmetic.
+``step`` is pure: it returns a new state with fresh ``rho`` and ``m``, which
+are read-only, so an in-place edit raises instead of going unseen. Its work
+arrays are made once per grid, by the first step of a march, and handed on
+in ``FvState.scratch``, because at a few hundred cells a step costs mostly
+per-call overhead (allocation, slicing), not arithmetic.
+
+``step`` works only on a window of cells that can change. Outside the
+window each cell holds the bits of its side's far data state. Every face
+there lies between two equal states, so its LLF flux is exactly f, the flux
+difference exactly 0.0 and the cell keeps its bits; the full grid would
+leave these cells as they are too. The window's computation takes one far
+cell per side along, which gives dt, the boundary fluxes and the boundary
+sums bit for bit as on the full grid, and lets the NonPositiveDensity and
+CflViolation checks see every distinct cell. A side grows by a chunk of
+cells when its edge cell changes (compared by bit pattern, since m can be
++0.0 or -0.0). The full grid runs, for good, once the window would skip
+fewer cells than its bookkeeping costs (so always at 200 cells), when a far
+density lies below the floor (the clamp moves every far cell), and for the
+step in which a far face's flux is not finite. A state that ``step`` did
+not return, whether built by hand, by ``init_state`` or by
+``dataclasses.replace``, carries no window; ``step`` then reads one off the
+bits of its fields.
 """
 
 from __future__ import annotations
@@ -28,7 +46,7 @@ from .errors import (
     ValidationError,
     WindowOutOfDomain,
 )
-from .states import GasParams, RiemannProblem
+from .states import RiemannProblem
 from .waves import WaveFan, _profile, wave_positions
 
 
@@ -60,32 +78,145 @@ class FvConfig:
             raise ValidationError(f"floor must be a tiny positive density, got {self.floor}")
 
 
+# A window grows by _CHUNK cells on a side whose edge cell moved. A growth
+# re-slices the work arrays (about 3.7 us), and an edge moves at most one cell
+# per step, so a chunk of C costs about 3.7 us / C per step in re-slicing and
+# about C idle cells at 10.5 ns each: the sum is least near C = 19, and 8, 16
+# and 32 ran within noise of each other in fv.run on the oracle refs.
+_CHUNK = 16
+# A window step costs about 2 us more than a full step over as many cells (the
+# copy into fresh n-cell arrays, the slices, the edge checks), and each cell
+# it skips saves about 10.5 ns: it pays from 2 us / 10.5 ns = 190 skipped cells.
+# The figures are from a 2-vCPU Intel Xeon, Python 3.11, NumPy 2.4.
+_SKIP_MIN = 190
+
+
 class _Row:
-    """A work array a with its views lo = a[:-1] and hi = a[1:], made once."""
+    """A work array a with its views lo = a[:-1] and hi = a[1:]."""
 
     __slots__ = ("a", "lo", "hi")
 
-    def __init__(self, size: int):
-        self.a = np.empty(size)
-        self.lo, self.hi = self.a[:-1], self.a[1:]
+    def __init__(self, a: np.ndarray):
+        self.a, self.lo, self.hi = a, a[:-1], a[1:]
+
+
+class _Work:
+    """Work arrays of step for a window of w cells: views of a _Scratch.
+
+    Cell rows have w + 2 entries (the window and one outer cell per side),
+    face rows w + 1; a face's left and right cells are a cell row's lo and
+    hi. rho_in and m_in are the window's own cells.
+    """
+
+    def __init__(self, sc: _Scratch, w: int):
+        self.w = w
+        cells, faces = w + 2, w + 1
+        self.rho, self.m, self.amax, self.f = (
+            _Row(buf[:cells]) for buf in (sc.rho, sc.m, sc.amax, sc.f)
+        )
+        self.rho_in, self.m_in = self.rho.a[1:-1], self.m.a[1:-1]
+        self.flux_rho, self.flux_m = _Row(sc.flux_rho[:faces]), _Row(sc.flux_m[:faces])
+        self.u, self.gap, self.nonpositive = sc.u[:cells], sc.gap[:cells], sc.nonpositive[:cells]
+        self.half_a, self.jump, self.low = sc.half_a[:faces], sc.jump[:faces], sc.low[:w]
 
 
 class _Scratch:
-    """Work arrays of step for one grid of n cells.
+    """Buffers of step for one grid of n cells and one FvConfig.
 
-    Cell arrays have n + 2 entries (one ghost cell per side), face arrays
-    n + 1; a face's left and right cells are a cell row's lo and hi. step
-    writes every entry before it reads it, so states of one grid can share
-    a scratch, as long as they are not stepped concurrently.
+    step writes every entry before it reads it, so states of one grid can
+    share a scratch, as long as they are not stepped concurrently. The
+    constant operands are 0-d arrays: the same bits as the Python floats,
+    without a conversion on every ufunc call.
     """
 
-    def __init__(self, n: int):
-        self.rho, self.m, self.amax, self.f = (_Row(n + 2) for _ in range(4))
-        self.flux_rho, self.flux_m = _Row(n + 1), _Row(n + 1)
-        self.u, self.gap = np.empty(n + 2), np.empty(n + 2)
-        self.half_a, self.jump = np.empty(n + 1), np.empty(n + 1)
+    def __init__(self, n: int, cfg: FvConfig):
+        self.n, self.cfg = n, cfg
+        self.rho, self.m, self.amax, self.f, self.u, self.gap = (np.empty(n + 2) for _ in range(6))
+        self.flux_rho, self.flux_m, self.half_a, self.jump = (np.empty(n + 1) for _ in range(4))
         self.nonpositive = np.empty(n + 2, dtype=bool)
         self.low = np.empty(n, dtype=bool)
+        self.work = _Work(self, n)
+        g = cfg.problem.params
+        self.half, self.zero, self.floor = np.array(0.5), np.array(0.0), np.array(cfg.floor)
+        self.A, self.alpha = np.array(g.A), np.array(g.alpha)
+        self.one_minus_alpha, self.alpha_A = np.array(1.0 - g.alpha), np.array(g.alpha * g.A)
+
+
+# The window of a state whose every cell can change: the whole grid.
+_FULL = "full grid"
+
+
+class _Window:
+    """The cells [a, b) of the fields rho and m that step works on.
+
+    Every cell outside the window, and its edge cells a (where a > 0) and
+    b - 1 (where b < n), holds the bits of its side's far state, far =
+    (rho_l, m_l, rho_r, m_r). rho and m are the arrays it was found for.
+    """
+
+    __slots__ = ("rho", "m", "a", "b", "far")
+
+    def __init__(self, rho, m, a: int, b: int, far: tuple):
+        self.rho, self.m, self.a, self.b, self.far = rho, m, a, b, far
+
+    def __reduce__(self):
+        # a deep copy or unpickled state has writable copies of the fields,
+        # so it carries no window and step reads one off its bits
+        return type(None), ()
+
+    def after(self, rho, m, rho_win, m_win):
+        """The window of the stepped fields rho and m, whose cells [a, b)
+        are rho_win and m_win: a side whose edge cell moved grows by
+        _CHUNK cells, and the full grid takes over once fewer than
+        _SKIP_MIN cells stay outside."""
+        n = len(rho)
+        a, b = self.a, self.b
+        rho_l, m_l, rho_r, m_r = self.far
+        if a and not _holds(rho_win.item(0), m_win.item(0), rho_l, m_l):
+            a = max(0, a - _CHUNK)
+        if b < n and not _holds(rho_win.item(-1), m_win.item(-1), rho_r, m_r):
+            b = min(n, b + _CHUNK)
+        if n - (b - a) < _SKIP_MIN:
+            return _FULL
+        return _Window(rho, m, a, b, self.far)
+
+
+def _holds(rho: float, m: float, rho_far: float, m_far: float) -> bool:
+    """Whether a cell holds the bits of a far state. == tells floats of
+    different bits apart except +0.0 and -0.0, which m can be; a nan counts
+    as moved."""
+    return (
+        rho == rho_far
+        and m == m_far
+        and (m != 0.0 or math.copysign(1.0, m) == math.copysign(1.0, m_far))
+    )
+
+
+def _scan(rho, m, floor: float):
+    """The window of fields that carry none, read off their bit patterns.
+
+    The far states are the end cells. The window runs from the first cell
+    that differs from the left end to the last that differs from the right
+    end, plus _CHUNK cells per side. The full grid is the window of uniform
+    fields, of one that would skip fewer than _SKIP_MIN cells, and of one
+    with a far density below floor, since the floor clamp moves every far
+    cell on every step.
+    """
+    rho = np.asarray(rho, dtype=float)
+    m = np.asarray(m, dtype=float)
+    n = len(rho)
+    rho_bits, m_bits = rho.view(np.int64), m.view(np.int64)
+    moved = (rho_bits != rho_bits[0]) | (m_bits != m_bits[0])
+    first = int(np.argmax(moved))
+    if not moved[first]:
+        return _FULL
+    moved = (rho_bits != rho_bits[-1]) | (m_bits != m_bits[-1])
+    last = n - 1 - int(np.argmax(moved[::-1]))
+    a, b = max(0, first - _CHUNK), min(n, last + 1 + _CHUNK)
+    far = (rho.item(0), m.item(0), rho.item(-1), m.item(-1))
+    if n - (b - a) < _SKIP_MIN or (a and far[0] < floor) or (b < n and far[2] < floor):
+        return _FULL
+    return _Window(rho, m, a, b, far)
 
 
 @dataclass
@@ -96,7 +227,8 @@ class FvState:
     accumulate the net influx through the domain ends, so totals satisfy
     sum(q) dx - boundary = const to round-off while no clamping occurs.
     scratch holds step's work arrays for this grid; it is not part of the
-    state's value.
+    state's value. _window is the part of the grid that step works on; only
+    step sets it, so a state built any other way carries none.
     """
 
     x: np.ndarray
@@ -107,6 +239,7 @@ class FvState:
     boundary_mass: float = 0.0
     boundary_mom: float = 0.0
     scratch: _Scratch | None = field(default=None, repr=False, compare=False)
+    _window: _Window | str | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def dx(self) -> float:
@@ -124,26 +257,18 @@ def grid(cfg: FvConfig):
     return x_lo + (np.arange(cfg.n_cells) + 0.5) * dx, dx
 
 
-def _velocity(rho, m, g: GasParams, out, nonpositive):
+def _velocity(rho, m, sc: _Scratch, out, nonpositive):
     """Drift-free velocity (m + A rho**(1-alpha)) / rho, written to out.
 
     nonpositive is a boolean work array shaped like rho. Raises
     NonPositiveDensity if any rho <= 0.
     """
-    if np.count_nonzero(np.less_equal(rho, 0.0, out=nonpositive)):
+    if np.count_nonzero(np.less_equal(rho, sc.zero, out=nonpositive)):
         raise NonPositiveDensity("cannot recover velocity at nonpositive density")
-    np.power(rho, 1.0 - g.alpha, out=out)
-    np.multiply(g.A, out, out=out)
+    np.power(rho, sc.one_minus_alpha, out=out)
+    np.multiply(sc.A, out, out=out)
     np.add(m, out, out=out)
     return np.divide(out, rho, out=out)
-
-
-def primitive_recover(rho, m, g: GasParams):
-    """Drift-free velocity v from the conserved pair; rho must be positive."""
-    rho = np.asarray(rho, dtype=float)
-    m = np.asarray(m, dtype=float)
-    out = np.empty(np.broadcast_shapes(rho.shape, m.shape))
-    return _velocity(rho, m, g, out, np.empty(rho.shape, dtype=bool))[()]
 
 
 def init_state(cfg: FvConfig) -> FvState:
@@ -156,53 +281,86 @@ def init_state(cfg: FvConfig) -> FvState:
     return FvState(x=x, rho=rho, m=m, t=0.0)
 
 
-def _face_flux(u, q: _Row, half_a, sc: _Scratch, out: _Row) -> _Row:
+def _face_flux(u, q: _Row, half_a, wk: _Work, half, out: _Row) -> _Row:
     """LLF flux 0.5 (f_l + f_r) - (0.5 a) (q_r - q_l) on every face, into out."""
-    f = sc.f
+    f = wk.f
     np.multiply(u, q.a, out=f.a)
     np.add(f.lo, f.hi, out=out.a)
-    np.multiply(0.5, out.a, out=out.a)
-    np.subtract(q.hi, q.lo, out=sc.jump)
-    np.multiply(half_a, sc.jump, out=sc.jump)
-    np.subtract(out.a, sc.jump, out=out.a)
+    np.multiply(half, out.a, out=out.a)
+    np.subtract(q.hi, q.lo, out=wk.jump)
+    np.multiply(half_a, wk.jump, out=wk.jump)
+    np.subtract(out.a, wk.jump, out=out.a)
     return out
 
 
-def _update(q, flux: _Row, lam: float):
-    """q - lam (F_r - F_l) in a freshly allocated array."""
-    new = np.subtract(flux.hi, flux.lo)
-    np.multiply(lam, new, out=new)
-    return np.subtract(q, new, out=new)
+def _update(q, flux: _Row, lam: float, out):
+    """q - lam (F_r - F_l), into out."""
+    np.subtract(flux.hi, flux.lo, out=out)
+    np.multiply(lam, out, out=out)
+    return np.subtract(q, out, out=out)
 
 
 def step(state: FvState, cfg: FvConfig, dt_cap: float | None = None) -> FvState:
     """One forward-Euler LLF step; dt = cfl dx / max|lambda|, capped.
 
-    Pure: returns a new state with freshly allocated rho and m and leaves
-    state untouched. The work arrays come from state.scratch, are allocated
-    here when state carries none for its grid, and pass on to the returned
-    state. Each ghost cell copies its edge cell (zero-gradient outflow).
+    Pure: returns a new state with freshly allocated, read-only rho and m
+    and leaves state untouched. Each ghost cell copies its edge cell
+    (zero-gradient outflow). The work arrays come from state.scratch, are
+    allocated here when state carries none for its grid and config, and
+    pass on to the returned state.
+
+    Only the cells of state's window are stepped; every cell outside it
+    keeps its bits (see _advance). A state that carries no window for its
+    own rho and m arrays has one read off its bits first.
     """
-    g = cfg.problem.params
-    dx = state.dx
     n = len(state.rho)
     sc = state.scratch
-    if sc is None or sc.low.size != n:
-        sc = _Scratch(n)
-    rho, m = sc.rho.a, sc.m.a
-    rho[1:-1] = state.rho
-    m[1:-1] = state.m
-    rho[0], rho[-1] = state.rho[0], state.rho[-1]
-    m[0], m[-1] = state.m[0], state.m[-1]
+    if sc is None or sc.n != n or sc.cfg is not cfg:
+        sc = _Scratch(n, cfg)
+    win = state._window
+    if win is None or (win is not _FULL and (win.rho is not state.rho or win.m is not state.m)):
+        win = _scan(state.rho, state.m, cfg.floor)
+    if win is not _FULL:
+        new = _advance(state, cfg, dt_cap, sc, win.a, win.b, win)
+        if new is not None:
+            return new
+    return _advance(state, cfg, dt_cap, sc, 0, n, _FULL)
 
-    u = _velocity(rho, m, g, sc.u, sc.nonpositive)
+
+def _advance(state: FvState, cfg: FvConfig, dt_cap, sc: _Scratch, a: int, b: int, win):
+    """step on the window's cells [a, b) and one outer cell per side.
+
+    The outer cell is a far cell, or a ghost at a grid end. Outside the
+    window every face lies between two equal far states, where the LLF flux
+    is f, its difference 0.0 and the update q - lam 0.0 = q bit for bit;
+    the window's two outer faces are such faces, so they give the boundary
+    fluxes, and the outer cells the far signal speeds, of the full grid.
+    dt, both boundary sums, the clamp count and the NonPositiveDensity and
+    CflViolation checks therefore come out as on the full grid. Only a
+    non-finite flux on a far face breaks this (the full grid turns far cells
+    into nan there); then this returns None and step takes the full grid.
+    """
+    g = cfg.problem.params
+    n = len(state.rho)
+    wk = sc.work
+    if wk.w != b - a:
+        wk = sc.work = _Work(sc, b - a)
+    dx = state.dx
+    rho, m = wk.rho.a, wk.m.a
+    wk.rho_in[...] = state.rho[a:b]
+    wk.m_in[...] = state.m[a:b]
+    lo, hi = a - 1 if a else 0, b if b < n else b - 1
+    rho[0], rho[-1] = state.rho[lo], state.rho[hi]
+    m[0], m[-1] = state.m[lo], state.m[hi]
+
+    u = _velocity(rho, m, sc, wk.u, wk.nonpositive)
     np.add(u, g.beta * state.t, out=u)
     # signal speeds |u| and |u - alpha A / rho**alpha|; amax is the larger
-    gap = np.power(rho, g.alpha, out=sc.gap)
-    np.divide(g.alpha * g.A, gap, out=gap)
+    gap = np.power(rho, sc.alpha, out=wk.gap)
+    np.divide(sc.alpha_A, gap, out=gap)
     np.subtract(u, gap, out=gap)
     np.abs(gap, out=gap)
-    amax = sc.amax
+    amax = wk.amax
     np.abs(u, out=amax.a)
     np.maximum(amax.a, gap, out=amax.a)
     peak = float(amax.a.max())
@@ -215,28 +373,44 @@ def step(state: FvState, cfg: FvConfig, dt_cap: float | None = None) -> FvState:
     if not (0.0 < dt < math.inf):
         raise CflViolation(f"no admissible time step (dt = {dt})")
 
-    half_a = np.maximum(amax.lo, amax.hi, out=sc.half_a)
-    np.multiply(0.5, half_a, out=half_a)
-    flux_rho = _face_flux(u, sc.rho, half_a, sc, sc.flux_rho)
-    flux_m = _face_flux(u, sc.m, half_a, sc, sc.flux_m)
+    half_a = np.maximum(amax.lo, amax.hi, out=wk.half_a)
+    np.multiply(sc.half, half_a, out=half_a)
+    flux_rho = _face_flux(u, wk.rho, half_a, wk, sc.half, wk.flux_rho)
+    flux_m = _face_flux(u, wk.m, half_a, wk, sc.half, wk.flux_m)
+    mass_in = dt * (flux_rho.a[0] - flux_rho.a[-1])
+    mom_in = dt * (flux_m.a[0] - flux_m.a[-1])
+    if win is not _FULL and not (math.isfinite(mass_in) and math.isfinite(mom_in)):
+        return None
 
+    # fresh arrays: the window's cells are written into rho_new and m_new,
+    # which are views of rho_out and m_out, and the rest is copied from state
+    if win is _FULL:
+        rho_new = rho_out = np.empty(n)
+        m_new = m_out = np.empty(n)
+    else:
+        rho_out, m_out = np.array(state.rho, dtype=float), np.array(state.m, dtype=float)
+        rho_new, m_new = rho_out[a:b], m_out[a:b]
     lam = dt / dx
-    rho_new = _update(state.rho, flux_rho, lam)
-    m_new = _update(state.m, flux_m, lam)
-    n_clamp = int(np.count_nonzero(np.less(rho_new, cfg.floor, out=sc.low)))
+    _update(wk.rho_in, flux_rho, lam, rho_new)
+    _update(wk.m_in, flux_m, lam, m_new)
+    n_clamp = int(np.count_nonzero(np.less(rho_new, sc.floor, out=wk.low)))
     if n_clamp:
-        np.maximum(rho_new, cfg.floor, out=rho_new)
+        np.maximum(rho_new, sc.floor, out=rho_new)
+    rho_out.setflags(write=False)
+    m_out.setflags(write=False)
 
-    return FvState(
+    new = FvState(
         x=state.x,
-        rho=rho_new,
-        m=m_new,
+        rho=rho_out,
+        m=m_out,
         t=state.t + dt,
         clamped=state.clamped + n_clamp,
-        boundary_mass=state.boundary_mass + dt * (flux_rho.a[0] - flux_rho.a[-1]),
-        boundary_mom=state.boundary_mom + dt * (flux_m.a[0] - flux_m.a[-1]),
+        boundary_mass=state.boundary_mass + mass_in,
+        boundary_mom=state.boundary_mom + mom_in,
         scratch=sc,
     )
+    new._window = _FULL if win is _FULL else win.after(new.rho, new.m, rho_new, m_new)
+    return new
 
 
 def run(cfg: FvConfig, max_steps: int = 10_000_000) -> FvState:

@@ -188,6 +188,8 @@ def solve(p: RiemannProblem) -> WaveFan:
         shock = (star.rho * star.v - p.left.rho * u_l) / (star.rho - p.left.rho)
         if not math.isfinite(shock):
             raise DensityOutOfRange(f"shock speed overflows at star density {star.rho!r}")
+        # the shock trails the contact; rounding can put it one ulp past u_r
+        shock = min(shock, u_r)
         waves = (
             Wave("S1", "shock", ParabolicPath(shock, beta)),
             Wave("J", "contact", ParabolicPath(u_r, beta)),

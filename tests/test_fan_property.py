@@ -77,6 +77,8 @@ def test_fan_is_well_formed(p, t):
     tol = 1e-12 * problem_scale(p)
     speeds = [wave.path.c for wave in fan.waves]
     assert all(b - a >= -tol for a, b in zip(speeds[:-1], speeds[1:]))
+    if fan.variant == "shock_contact":
+        assert fan.path("S1").c <= fan.path("J").c
 
     positions = [wave.path.position(t) for wave in fan.waves]
     checks = [

@@ -1,7 +1,9 @@
 """Finite-volume oracle: scheme, bookkeeping, locators, measurements."""
 
+import copy
 import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -10,7 +12,6 @@ from chapgas import (
     CflViolation,
     FvConfig,
     FvState,
-    GasParams,
     NonPositiveDensity,
     TimeMismatch,
     ValidationError,
@@ -20,7 +21,6 @@ from chapgas import (
     locate_jump,
     locate_peak,
     measure_delta_mass,
-    primitive_recover,
     run,
     solve,
     step,
@@ -89,27 +89,9 @@ class TestGridAndInit:
         assert np.all(state.rho[left] == 1.0)
         assert np.all(state.rho[~left] == 2.0)
         g = REGION2.params
-        v = primitive_recover(state.rho, state.m, g)
+        v = (state.m + g.A * state.rho ** (1.0 - g.alpha)) / state.rho
         assert np.allclose(v[left], 1.8, rtol=0.0, atol=1e-15)
         assert np.allclose(v[~left], 1.2, rtol=0.0, atol=1e-15)
-
-
-class TestPrimitiveRecover:
-    def test_pressureless_is_momentum_over_density(self):
-        g = GasParams(A=0.0, alpha=0.5)
-        assert primitive_recover(2.0, 1.0, g) == 0.5
-
-    def test_reference_roundtrip(self):
-        g = GasParams(A=0.25, alpha=0.5)
-        assert primitive_recover(1.0, 0.75, g) == 1.0
-
-    def test_star_state_roundtrip(self):
-        g = GasParams(A=0.25, alpha=0.5)
-        assert primitive_recover(25.0, 18.75, g) == 0.8
-
-    def test_rejects_nonpositive_density(self):
-        with pytest.raises(NonPositiveDensity):
-            primitive_recover(0.0, 1.0, GasParams(A=0.0, alpha=0.5))
 
 
 class TestStep:
@@ -356,6 +338,40 @@ EXACT_CASES = {
 }
 
 
+# windowed marches: (problem, n_cells, x_lo, x_hi, t_end)
+WINDOW_CASES = {
+    # starts 2 * _CHUNK cells wide, reaches the right end, then the full grid
+    "narrow_to_full": (REGION1, 1600, -1.0, 2.0, 1.0),
+    # reaches the left end, where its outer cell is the ghost, and clamps
+    "vacuum_left_end": (make_problem(1.0, -1.0, 1.0, 1.0, beta=-1.0), 800, -2.0, 2.0, 1.0),
+    # reaches neither end by t_end
+    "neither_end": (make_problem(1.0, 1.0, 1.0, -1.0, a=0.25, beta=2.0), 800, -2.0, 2.0, 0.25),
+    # the left far density lies below the floor, so every far cell clamps
+    "far_below_floor": (make_problem(1e-13, 0.5, 1.0, 1.0), 800, -2.0, 2.0, 0.5),
+}
+
+
+def window_of(state):
+    """(a, b) of the window step left on state, or None for the full grid."""
+    win = state._window
+    return None if win is fv._FULL else (win.a, win.b)
+
+
+def windowed_run(cfg):
+    """run's march, with the window each step leaves on its state."""
+    state, spans = init_state(cfg), []
+    while cfg.t_end - state.t > 1e-12 * max(1.0, cfg.t_end):
+        state = step(state, cfg, dt_cap=cfg.t_end - state.t)
+        spans.append(window_of(state))
+    return state, spans
+
+
+def assert_same_bits(got, want):
+    """rho and m equal bit for bit, nan included."""
+    for a, b in ((got.rho, want.rho), (got.m, want.m)):
+        assert np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
 class TestExactness:
     @pytest.mark.parametrize("name", sorted(EXACT_CASES))
     def test_run_matches_reference(self, name):
@@ -379,6 +395,43 @@ class TestExactness:
             got = step(got, cfg, dt_cap=cap)
             want = reference_step(want, cfg, dt_cap=cap)
             assert_bitwise_equal(got, want)
+
+    @pytest.mark.parametrize("name", sorted(WINDOW_CASES))
+    def test_windowed_run_matches_reference(self, name):
+        p, n, lo, hi, t_end = WINDOW_CASES[name]
+        cfg = config(p, n_cells=n, x_lo=lo, x_hi=hi, t_end=t_end)
+        got, spans = windowed_run(cfg)
+        assert_bitwise_equal(got, reference_run(cfg))
+        assert_bitwise_equal(run(cfg), got)
+        windows = [s for s in spans if s is not None]
+        if name == "narrow_to_full":
+            assert spans[0][1] - spans[0][0] == 2 * fv._CHUNK
+            assert any(0 < a and b == n for a, b in windows)
+            assert spans[-1] is None
+        elif name == "vacuum_left_end":
+            assert len(windows) == len(spans)
+            assert any(a == 0 and b < n for a, b in windows)
+            assert got.clamped > 0
+        elif name == "neither_end":
+            assert len(windows) == len(spans)
+            assert all(0 < a and b < n for a, b in windows)
+        else:
+            assert windows == []
+            assert got.clamped > 0
+
+    def test_signed_zero_front_grows_the_window(self):
+        # rho and |m| are uniform; only the sign of m's zeros moves, one cell
+        # per step to the right, as a front of +0.0 into -0.0
+        cfg = config(make_problem(1.0, 0.0, 1.0, 0.0, beta=1.0), n_cells=400)
+        m = np.full(400, -0.0)
+        m[190:210] = 0.0
+        got = want = FvState(x=init_state(cfg).x, rho=np.ones(400), m=m, t=0.0)
+        for _ in range(40):
+            got = step(got, cfg, dt_cap=1e-3)
+            want = reference_step(want, cfg, dt_cap=1e-3)
+            assert_bitwise_equal(got, want)
+        assert np.flatnonzero(~np.signbit(want.m))[-1] == 249
+        assert window_of(got)[1] > 250
 
 
 class TestStepContract:
@@ -464,3 +517,64 @@ class TestStepContract:
         assert all(nxt is prev for (_, prev), (nxt, _) in zip(calls, calls[1:]))
         assert calls[-1][1] is final
         assert_bitwise_equal(final, reference_run(self.CFG))
+
+    WIDE = config(REGION2, n_cells=800, x_lo=-1.5, x_hi=2.5)
+
+    def windowed_state(self):
+        state = init_state(self.WIDE)
+        for _ in range(30):
+            state = step(state, self.WIDE)
+        a, b = window_of(state)
+        assert 5 < a and b < 795
+        return state
+
+    def test_stepped_fields_are_read_only(self):
+        for stepped in (step(init_state(self.CFG), self.CFG), self.windowed_state()):
+            for field in (stepped.rho, stepped.m):
+                with pytest.raises(ValueError):
+                    field[3] = 1.0
+
+    def test_states_built_around_a_window_step_like_reference(self):
+        stepped = self.windowed_state()
+        edited = stepped.rho.copy()
+        edited[3] *= 1.5  # a far cell, outside the window
+        by_hand = FvState(
+            x=stepped.x,
+            rho=edited,
+            m=stepped.m,
+            t=stepped.t,
+            boundary_mass=stepped.boundary_mass,
+            boundary_mom=stepped.boundary_mom,
+        )
+        states = [by_hand, dataclasses.replace(stepped, rho=edited), dataclasses.replace(stepped)]
+        for copied in (copy.deepcopy(stepped), pickle.loads(pickle.dumps(stepped))):
+            copied.rho[3] *= 1.5
+            states.append(copied)
+        reassigned = step(stepped, self.WIDE)
+        reassigned.rho = edited
+        states.append(reassigned)
+        for state in states:
+            assert_bitwise_equal(step(state, self.WIDE), reference_step(state, self.WIDE))
+
+    @pytest.mark.parametrize("cell", [0, 5, 400, 799])
+    def test_checks_see_cells_outside_the_window(self, cell):
+        stepped = self.windowed_state()
+        rho, m = stepped.rho.copy(), stepped.m.copy()
+        rho[cell] = 0.0
+        with pytest.raises(NonPositiveDensity):
+            step(dataclasses.replace(stepped, rho=rho), self.WIDE)
+        m[cell] = np.inf
+        with pytest.raises(CflViolation, match="not finite"):
+            step(dataclasses.replace(stepped, m=m), self.WIDE)
+
+    def test_far_flux_overflow_takes_full_grid(self):
+        # u m overflows on every face, so the full grid turns far cells into nan
+        cfg = config(make_problem(1.0, 0.0, 1.0, 0.0), n_cells=400)
+        m = np.full(400, 1e200)
+        m[190:210] = 2e200
+        s0 = FvState(x=init_state(cfg).x, rho=np.ones(400), m=m, t=0.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            got, want = step(s0, cfg), reference_step(s0, cfg)
+        assert np.isnan(want.m[0])
+        assert_same_bits(got, want)
+        assert (got.t, got.clamped) == (want.t, want.clamped)

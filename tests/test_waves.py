@@ -100,6 +100,22 @@ class TestIntermediateState:
             solve(p)
 
 
+    def test_shock_speed_bounded_by_contact(self):
+        # rounding put the shock speed one ulp above u_r for these data
+        p = make_problem(
+            0.32223212896655423,
+            8.279978926912982,
+            17.102330744315545,
+            0.8030728765025117,
+            a=8.443618855241898,
+            alpha=0.011581244787339993,
+            beta=-2.2174234276444027,
+        )
+        fan = solve(p)
+        assert fan.variant == "shock_contact"
+        assert fan.path("S1").c == fan.path("J").c == 0.8030728765025117
+
+
 class TestRarefactionState:
     def test_head_below_float_resolution(self):
         # xi - w_l rounds to 0 when A/rho_l**alpha is below one ulp of v_l
