@@ -2,27 +2,34 @@
 
 Run from the repository root:
 
-    python3 bench/ab.py --out BENCH_11.json --pairs 10 --seconds 30
+    python3 bench/ab.py --out BENCH_12.json --pairs 10 --seconds 30
 
-The parent commit (``--base``; ``HEAD`` compares uncommitted changes with
-their commit, ``HEAD~1`` the last commit with its parent) is added as a git
-worktree in a scratch directory, which is removed afterwards. For every
-workload in BENCHMARK.json (or those named by ``--workloads``), N pairs of
-``perfbench/run.py`` runs follow, one seed per pair from ``--seed`` upwards,
-with the side that runs first alternating. Then each side has one traced
-run on ``--seed``. The output file holds, per workload and end-to-end metric,
-each side's runs, median and quartiles, the change's wins out of the pairs
-(ties count for neither), whether the change's median is worse than the
-parent's by more than the metric's bound in BENCHMARK.json, whether the gain
-rule holds (wins in at least 9 of 10 pairs and a median gap wider than the
-parent's interquartile range), and the traced per-layer metrics; also the
+The files of the parent commit (``--base``; ``HEAD`` compares uncommitted
+changes with their commit, ``HEAD~1`` the last commit with its parent) are
+exported with ``git archive`` to a scratch directory, which is removed
+afterwards. For every workload in BENCHMARK.json (or those named by
+``--workloads``), N pairs of ``perfbench/run.py`` runs follow, one seed per
+pair from ``--seed`` upwards, with the side that runs first alternating, and
+one more pair on the held-out seed (``--held-out``, default 2718). Then each
+side has one traced run on ``--seed``. The output file holds, per workload
+and end-to-end metric, each side's runs, median and quartiles, the change's
+wins out of the pairs (ties count for neither), whether the change's median
+is worse than the parent's by more than the metric's bound in
+BENCHMARK.json, whether the gain rule holds (wins in at least 9 of 10 pairs
+and a median gap wider than the parent's interquartile range), the same
+comparison for the held-out pair, and the traced per-layer metrics; also the
 host, Python and NumPy versions that the runs report.
+
+A pair in which either side exited nonzero, reported ``correct: false`` or
+counted failed commands is left out of every comparison, wins and ``of``
+included, and listed under ``excluded`` with the reasons.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import shutil
 import statistics
 import subprocess
 import sys
@@ -53,6 +60,25 @@ def bench_run(checkout: Path, workload: str, seed: int, seconds: float, trace: i
     return out
 
 
+def faults(run: dict) -> list[str]:
+    """Why a run cannot be compared; empty when it can."""
+    out = []
+    if run["exit"] != 0 or "metrics" not in run:
+        out.append(f"exit {run['exit']}")
+    if run.get("correct") is not True:
+        out.append("correct is not true")
+    if run.get("failed"):
+        out.append(f"failed {run['failed']}")
+    return out
+
+
+def export(commit: str, dest: Path, root: Path) -> None:
+    """Write the files of commit to dest, as git archive has them."""
+    dest.mkdir()
+    tar = subprocess.run(["git", "archive", commit], cwd=root, check=True, capture_output=True).stdout
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=tar, check=True)
+
+
 def summary(values: list[float]) -> dict:
     if not values:
         return {"runs": [], "median": None, "q1": None, "q3": None}
@@ -61,9 +87,9 @@ def summary(values: list[float]) -> dict:
 
 
 def compare(metric: dict, parent_runs: list[dict], change_runs: list[dict]) -> dict:
-    """Both sides of one end-to-end metric over the pairs where both ran."""
+    """Both sides of one end-to-end metric over the pairs that neither side failed."""
     name, higher = metric["name"], metric["better"] == "higher"
-    pairs = [(p, c) for p, c in zip(parent_runs, change_runs) if "metrics" in p and "metrics" in c]
+    pairs = [(p, c) for p, c in zip(parent_runs, change_runs) if not faults(p) and not faults(c)]
     par = [p["metrics"][name]["value"] for p, _ in pairs]
     chg = [c["metrics"][name]["value"] for _, c in pairs]
     wins = sum((c > p) if higher else (c < p) for p, c in zip(par, chg))
@@ -81,11 +107,12 @@ def compare(metric: dict, parent_runs: list[dict], change_runs: list[dict]) -> d
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--out", required=True, help="output file, e.g. BENCH_11.json")
+    ap.add_argument("--out", required=True, help="output file, e.g. BENCH_12.json")
     ap.add_argument("--base", default="HEAD", help="parent commit (default HEAD)")
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seconds", type=float, default=30.0)
     ap.add_argument("--seed", type=int, default=201)
+    ap.add_argument("--held-out", type=int, default=2718, help="seed of one more pair")
     ap.add_argument("--workloads", nargs="*", help="default: every workload in BENCHMARK.json")
     args = ap.parse_args(argv)
 
@@ -98,25 +125,33 @@ def main(argv=None) -> int:
         change += "+uncommitted"
 
     record = {"base": base, "change": change, "pairs": args.pairs, "seconds": args.seconds,
-              "seeds": list(range(args.seed, args.seed + args.pairs)), "workloads": {}}
+              "seeds": list(range(args.seed, args.seed + args.pairs)),
+              "held_out_seed": args.held_out, "workloads": {}}
     scratch = Path(tempfile.mkdtemp(prefix="ab-"))
     parent = scratch / "parent"
-    git("worktree", "add", "--detach", str(parent), base, cwd=root)
     try:
+        export(base, parent, root)
         for workload in workloads:
             runs = {"parent": [], "change": []}
-            for i, seed in enumerate(record["seeds"]):
+            for i, seed in enumerate(record["seeds"] + [args.held_out]):
                 order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
                 for side in order:
                     run = bench_run(parent if side == "parent" else root, workload, seed, args.seconds, 0)
                     runs[side].append(run)
                     print(f"{workload} seed {seed} {side}: "
                           + json.dumps(run.get("metrics", run.get("error"))), flush=True)
+            held = {side: [rs.pop()] for side, rs in runs.items()}
             traced = {side: bench_run(parent if side == "parent" else root, workload, args.seed,
                                       args.seconds, 1) for side in ("parent", "change")}
             record["workloads"][workload] = {
                 "end_to_end": {m["name"]: compare(m, runs["parent"], runs["change"])
                                for m in spec["end_to_end"]},
+                "held_out": {m["name"]: compare(m, held["parent"], held["change"])
+                             for m in spec["end_to_end"]},
+                "excluded": [{"seed": p["seed"], "parent": faults(p), "change": faults(c)}
+                             for p, c in zip(runs["parent"] + held["parent"],
+                                             runs["change"] + held["change"])
+                             if faults(p) or faults(c)],
                 "failed": {side: [r.get("failed") for r in rs] for side, rs in runs.items()},
                 "errors": {side: [r["error"] for r in rs if "error" in r] for side, rs in runs.items()},
                 "per_layer": {side: {k: v["value"] for k, v in t.get("metrics", {}).items()}
@@ -126,8 +161,7 @@ def main(argv=None) -> int:
             if envs:
                 record["env"] = envs[0]
     finally:
-        git("worktree", "remove", "--force", str(parent), cwd=root)
-        scratch.rmdir()
+        shutil.rmtree(scratch)
     Path(args.out).write_text(json.dumps(record, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     return 0
 

@@ -22,6 +22,7 @@ import argparse
 import json
 import math
 import sys
+from functools import cache
 
 import numpy as np
 
@@ -381,7 +382,10 @@ _COMMANDS = {
 }
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and kept: building it costs about as
+    much as a small command, and parse_args leaves it as it found it."""
     # each command's docstring is its line in the help
     commands = "\n".join(f"  {name:<8}{cmd.__doc__}" for name, cmd in _COMMANDS.items())
     parser = argparse.ArgumentParser(

@@ -18,20 +18,32 @@ with one exp: the t factors once per time panel on its n nodes, the x
 factors once on the strip's n x n grid; psi, psi_x and psi_t are their
 broadcast products. A pair whose every argument lies inside the support is
 taken on the whole array; otherwise only the inside entries are computed.
+The nodes of a strip row are monotone across it, so the two end columns
+of the grid decide whether every x argument lies inside.
 
 Each strip lies between two adjacent wave paths, so strip k is segment
 fan.states[k]. When the waves are in order and every node lies strictly
-between the strip's two paths, a constant segment enters as columns of its
-rho and u over the n time nodes, and a vacuum strip is skipped, since
-every term there is a signed zero. A rarefaction interior, or a strip with
-a node on or past a path (a strip thinner than a few ulps), falls back to
-the per-point waves._profile. Either way the residuals are bit for bit the
-per-point ones. Time is never expanded to the grid.
+between the strip's two paths, a constant segment enters as its rho (a
+0-d operand) and columns of its u over the n time nodes, and a vacuum
+strip is skipped, since every term there is a signed zero. A rarefaction
+interior, or a strip with a node on or past a path (a strip thinner than a
+few ulps), falls back to the per-point waves._profile. Either way the
+residuals are bit for bit the per-point ones. Time is never expanded to
+the grid.
+
+Every n x n pass of a strip writes, with out=, into one of six work
+arrays of its order n (_Work), in the order of operations of the plain
+expressions, so no strip allocates an n x n temporary and the sums keep
+their bits. A set outlives the call: each thread keeps its own
+(threading.local), so concurrent calls never share one, and holds the
+sets of its last two orders up to 256, at most 6.3 MB per thread (0.98 MB
+for orders 64 and 128). A higher order gets a fresh set on every call.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -106,7 +118,94 @@ class TestFunction:
 
 @lru_cache(maxsize=32)
 def _gauss(n: int):
-    return np.polynomial.legendre.leggauss(n)
+    """Gauss-Legendre nodes and weights of order n. Every caller shares the
+    two arrays, so they are read-only: a stray write raises."""
+    nodes, wts = np.polynomial.legendre.leggauss(n)
+    nodes.flags.writeable = wts.flags.writeable = False
+    return nodes, wts
+
+
+class _Work:
+    """The n x n work arrays of the strip kernel at quadrature order n.
+
+    The kernel writes every entry before it reads it, so a set carries
+    nothing from one strip, panel, bump or fan to the next. frac is where
+    each node sits across a strip, 0.5 (node + 1); it is nondecreasing,
+    so each row of a strip's node grid is monotone.
+    """
+
+    def __init__(self, n: int):
+        self.n = n
+        self.frac = 0.5 * (_gauss(n)[0][None, :] + 1.0)
+        self.frac.flags.writeable = False
+        self.x, self.w, self.p, self.b, self.t1, self.t2 = (np.empty((n, n)) for _ in range(6))
+
+
+# Each thread keeps the work sets of its last _KEEP orders up to _KEEP_MAX_N:
+# at most 2 x 6 x 256^2 x 8 B = 6.3 MB, and 0.98 MB for orders 64 and 128.
+# A higher order gets a fresh set per call.
+_KEEP = 2
+_KEEP_MAX_N = 256
+_kept = threading.local()
+
+
+def _work(n: int) -> _Work:
+    """This thread's work set of order n, most recently used first."""
+    sets = _kept.__dict__.setdefault("sets", [])
+    for i, ws in enumerate(sets):
+        if ws.n == n:
+            sets.insert(0, sets.pop(i))
+            return ws
+    ws = _Work(n)
+    if n <= _KEEP_MAX_N:
+        sets.insert(0, ws)
+        del sets[_KEEP:]
+    return ws
+
+
+def _strip_sums(ws: _Work, psi: TestFunction, rho, rho_u, mom, mom_u, beta_rho, bt, dbt_rt):
+    """Quadrature sums (R1, R2) of one strip, pass by pass in ws.
+
+    On entry ws.x holds the strip's nodes X and ws.w their weights W; the
+    state terms are 0-d, (n, 1) columns over the time nodes or n x n. Each
+    pass is the operation, in the order, of
+
+        R1 = sum(W (rho psi_t + (rho u) psi_x))
+        R2 = sum(W (mom psi_t + (mom u) psi_x + (beta rho) psi)),
+
+    with psi_t = b dbt_rt, psi_x = b' / rx * bt and psi = b bt for the
+    x-bump pair (b, b') of _bump_pair, so the sums are bit for bit those
+    of the allocating expressions.
+    """
+    s, p, b = ws.x, ws.p, ws.b
+    np.subtract(s, psi.x0, out=s)
+    np.divide(s, psi.rx, out=s)
+    # a monotone row has its extremes at its ends, so the two end columns
+    # decide whether every |s| < 1
+    if np.all(np.abs(s[:, :: ws.n - 1]) < 1.0):
+        np.multiply(s, s, out=p)
+        np.subtract(1.0, p, out=p)  # g = 1 - s^2
+        np.exp(np.divide(-1.0, p, out=b), out=b)
+        np.multiply(-2.0, s, out=s)
+        np.multiply(p, p, out=p)
+        np.divide(s, p, out=s)
+        np.multiply(b, s, out=s)  # b' = b (-2 s / g^2)
+    else:
+        b[...], s[...] = _bump_pair(s)
+    np.multiply(b, dbt_rt, out=p)  # psi_t
+    np.divide(s, psi.rx, out=s)
+    np.multiply(s, bt, out=s)  # psi_x
+
+    t1, t2 = ws.t1, ws.t2
+    np.multiply(rho, p, out=t1)
+    np.add(t1, np.multiply(rho_u, s, out=t2), out=t1)
+    r1 = float(np.multiply(ws.w, t1, out=t1).sum())
+    np.multiply(mom, p, out=p)
+    np.add(p, np.multiply(mom_u, s, out=s), out=p)
+    np.multiply(beta_rho, np.multiply(b, bt, out=b), out=b)
+    np.add(p, b, out=p)
+    r2 = float(np.multiply(ws.w, p, out=p).sum())
+    return r1, r2
 
 
 def _check_order(quad_n) -> int:
@@ -138,6 +237,7 @@ def weak_residual(p: RiemannProblem, fan: WaveFan, psi: TestFunction, quad_n: in
     n = _check_order(quad_n)
     g = p.params
     nodes, wts = _gauss(n)
+    ws = _work(n)
 
     t_lo, t_hi = psi.t0 - psi.rt, psi.t0 + psi.rt
     x_lo, x_hi = psi.x0 - psi.rx, psi.x0 + psi.rx
@@ -173,28 +273,30 @@ def weak_residual(p: RiemannProblem, fan: WaveFan, psi: TestFunction, quad_n: in
             width = hi - lo
             if not np.any(width > 0.0):
                 continue
-            X = lo[:, None] + width[:, None] * (0.5 * (nodes[None, :] + 1.0))
+            X = np.multiply(width[:, None], ws.frac, out=ws.x)
+            np.add(lo[:, None], X, out=X)
             seg = fan.states[k]
             # X grows along each row, so its end columns decide whether every
             # node lies strictly between the strip's two paths
             inside = ordered and np.all(lo < X[:, 0]) and np.all(X[:, -1] < hi)
             if inside and seg is not None:
-                # an array, so rho ** e below is NumPy's power: a Python float
+                # rho ** e stays NumPy's power on an array: a Python float
                 # power differs from it in the last bit for some values
-                rho = np.full(t_col.shape, seg.rho)
+                rho_col = np.full(t_col.shape, seg.rho)
                 u = seg.v + g.beta * t_col
+                rho, beta_rho = seg.rho, g.beta * seg.rho
             elif inside and fan.is_vacuum(k):
                 continue  # every term is a signed zero
             else:
-                rho, u = _profile(fan, X, t_col)
-            W = (wj * 0.5 * width)[:, None] * wts[None, :]
+                rho_col, u = _profile(fan, X, t_col)
+                rho, beta_rho = rho_col, g.beta * rho_col
+            np.multiply((wj * 0.5 * width)[:, None], wts, out=ws.w)
 
-            mom = rho * u - g.A * rho ** (1.0 - g.alpha)
-            bx, dbx = psi.x_factors(X)
-            psi_t = bx * dbt_rt
-            psi_x = dbx / psi.rx * bt
-            r1 += float(np.sum(W * (rho * psi_t + rho * u * psi_x)))
-            r2 += float(np.sum(W * (mom * psi_t + mom * u * psi_x + g.beta * rho * (bx * bt))))
+            rho_u = rho_col * u
+            mom = rho_u - g.A * rho_col ** (1.0 - g.alpha)
+            s1, s2 = _strip_sums(ws, psi, rho, rho_u, mom, mom * u, beta_rho, bt, dbt_rt)
+            r1 += s1
+            r2 += s2
 
         if fan.delta is not None:
             d = fan.delta

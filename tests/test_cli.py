@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -534,6 +537,33 @@ class TestArgv:
         with pytest.raises(SystemExit) as exc:
             main(["solve"])
         assert exc.value.code == 2
+
+    def test_repeated_calls_print_first_call_bytes(self, tmp_path, capsysbinary, monkeypatch):
+        # the parser is kept across calls; an argparse error must not change
+        # what the next call prints
+        monkeypatch.setenv("COLUMNS", "80")
+        cfg = write_config(tmp_path, DELTA_PROBLEM)
+        argvs = [["--help"], ["integrate", "--config", cfg], ["solve"], ["solve", "--config", cfg],
+                 ["verify", "--bogus"], ["--help"], ["solve", "--config", cfg]]
+
+        def in_process(argv):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            out = capsysbinary.readouterr()
+            return code, out.out, out.err
+
+        def first_call(argv):
+            proc = subprocess.run(
+                [sys.executable, "-m", "chapgas.cli", *argv], capture_output=True,
+                env=dict(os.environ, COLUMNS="80", PYTHONPATH=os.pathsep.join(sys.path)),
+            )
+            return proc.returncode, proc.stdout, proc.stderr
+
+        for _ in range(2):
+            for argv in argvs:
+                assert in_process(argv) == first_call(argv)
 
 
 class TestConfigHandling:

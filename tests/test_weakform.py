@@ -1,6 +1,8 @@
 """Distributional weak-form residuals and the test-function battery."""
 
 import math
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -18,8 +20,9 @@ from chapgas import (
     solve,
     weak_residual,
 )
+from chapgas import weakform
 from chapgas.waves import _profile
-from chapgas.weakform import _bump_pair, _check_order, _crossing_times, _gauss
+from chapgas.weakform import _bump_pair, _check_order, _crossing_times, _gauss, _work
 from helpers import make_problem
 
 REGION1 = make_problem(1.0, 0.0, 0.5, 1.2, a=1.0)
@@ -200,7 +203,7 @@ class TestExactness:
         assert np.array_equal(psi.dx(X, T), dbx / 1.0 * bt)
         assert np.array_equal(psi.dt(X, T), bx * (dbt / 1.0))
 
-    @pytest.mark.parametrize("quad_n", [64, 128])
+    @pytest.mark.parametrize("quad_n", [64, 128, 256])
     @pytest.mark.parametrize("p", ALL_FANS)
     def test_battery_equals_reference(self, p, quad_n):
         fan = solve(p)
@@ -259,6 +262,101 @@ class TestExactness:
         got = [weak_residual(REGION3, bad, psi, 64) for psi in battery]
         assert got == [reference_weak_residual(REGION3, bad, psi, 64) for psi in battery]
         assert got[0] != weak_residual(REGION3, fan, battery[0], 64)
+
+
+def battery_reference(p, quad_n):
+    fan = solve(p)
+    battery = residual_battery(fan)
+    return fan, battery, [reference_weak_residual(p, fan, psi, quad_n) for psi in battery]
+
+
+class TestWorkBuffers:
+    """The strip kernel's reused work arrays and the data it relies on."""
+
+    def test_gauss_arrays_are_read_only(self):
+        nodes, wts = _gauss(64)
+        for a in (nodes, wts, _work(64).frac):
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+        assert _gauss(64)[0][0] == np.polynomial.legendre.leggauss(64)[0][0]
+
+    @pytest.mark.parametrize("n", list(range(8, 129)) + [255, 256, 512, 1024])
+    def test_node_fractions_nondecreasing(self, n):
+        # the end-column inside test holds only on monotone rows
+        assert np.all(np.diff(_work(n).frac[0]) >= 0.0)
+
+    def test_interleaved_orders_and_fans_equal_reference(self):
+        fans = {n: [battery_reference(p, n) for p in (REGION3, REGION1)] for n in (64, 128)}
+        for n in (64, 128, 64):
+            for i in range(5):
+                for p, (fan, battery, ref) in zip((REGION3, REGION1), fans[n]):
+                    assert weak_residual(p, fan, battery[i], n) == ref[i]
+
+    def test_keeps_the_last_two_orders(self):
+        for n in (64, 128, 256, 128):
+            _work(n)
+        assert [ws.n for ws in weakform._kept.sets] == [128, 256]
+        assert _work(512) is not _work(512)  # above the kept range: fresh each call
+        assert [ws.n for ws in weakform._kept.sets] == [128, 256]
+
+    @pytest.mark.parametrize(
+        "p, psi, path",
+        [
+            # the left edge of the support lies 2**-53 left of a stationary
+            # contact, so some nodes of that strip round onto s = -1
+            (make_problem(2.0, 0.0, 1.0, 0.0, a=0.5),
+             TestFunction(x0=float(np.nextafter(1.0, 0.0)), t0=1.0, rx=1.0, rt=0.5),
+             "_bump_pair"),
+            (make_problem(2.0, 0.0, 1.0, 0.0, a=0.5),
+             TestFunction(x0=-float(np.nextafter(1.0, 0.0)), t0=1.0, rx=1.0, rt=0.5),
+             "_bump_pair"),
+            (REGION1, None, "_profile"),
+        ],
+        ids=["cut_bump_left", "cut_bump_right", "rarefaction_interior"],
+    )
+    def test_fallback_paths_equal_reference(self, monkeypatch, p, psi, path):
+        fan = solve(p)
+        psi = residual_battery(fan)[0] if psi is None else psi
+        calls = []
+        original = getattr(weakform, path)
+
+        def spy(*args):
+            calls.append(np.shape(args[0] if path == "_bump_pair" else args[1]))
+            return original(*args)
+
+        monkeypatch.setattr(weakform, path, spy)
+        for n in (16, 64, 128):
+            del calls[:]
+            assert weak_residual(p, fan, psi, n) == reference_weak_residual(p, fan, psi, n)
+            assert (n, n) in calls  # the kernel took this path on a full strip
+
+    def test_threads_equal_reference(self):
+        cases = [(p, n, battery_reference(p, n)) for p, n in
+                 [(REGION3, 64), (REGION1, 128), (VACUUM, 64), (REGION2, 128)]]
+        errors = []
+
+        def worker(p, n, case):
+            fan, battery, ref = case
+            try:
+                for _ in range(3):
+                    got = [weak_residual(p, fan, psi, n) for psi in battery]
+                    if got != ref:
+                        errors.append((p, n, got, ref))
+            except Exception as exc:  # reported by the assertion below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=case) for case in cases]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert errors == []
 
 
 class TestQuadOrderGuard:
