@@ -10,19 +10,22 @@ exported with ``git archive`` to a scratch directory, which is removed
 afterwards. For every workload in BENCHMARK.json (or those named by
 ``--workloads``), N pairs of ``perfbench/run.py`` runs follow, one seed per
 pair from ``--seed`` upwards, with the side that runs first alternating, and
-one more pair on the held-out seed (``--held-out``, default 2718). Then each
-side has one traced run on ``--seed``. The output file holds, per workload
+one more pair on the held-out seed ``HELD_OUT_SEED``, which is fixed here so
+that it cannot be picked to suit a claim. Then each side has one traced run
+on ``--seed``. The output file holds, per workload
 and end-to-end metric, each side's runs, median and quartiles, the change's
 wins out of the pairs (ties count for neither), whether the change's median
 is worse than the parent's by more than the metric's bound in
-BENCHMARK.json, whether the gain rule holds (wins in at least 9 of 10 pairs
-and a median gap wider than the parent's interquartile range), the same
+BENCHMARK.json, whether the gain rule holds (wins in at least nine tenths
+of all pairs run, a median gap wider than the parent's interquartile range,
+and no more failed runs on the change's side than on the parent's), the same
 comparison for the held-out pair, and the traced per-layer metrics; also the
 host, Python and NumPy versions that the runs report.
 
 A pair in which either side exited nonzero, reported ``correct: false`` or
-counted failed commands is left out of every comparison, wins and ``of``
-included, and listed under ``excluded`` with the reasons.
+counted failed commands is left out of the medians, quartiles and wins, and
+listed under ``excluded`` with the reasons; ``of`` still counts every pair
+run, so excluded pairs can only lose the gain rule, never win it.
 """
 
 from __future__ import annotations
@@ -35,6 +38,8 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+HELD_OUT_SEED = 2718
 
 
 def git(*args: str, cwd: Path) -> str:
@@ -87,21 +92,24 @@ def summary(values: list[float]) -> dict:
 
 
 def compare(metric: dict, parent_runs: list[dict], change_runs: list[dict]) -> dict:
-    """Both sides of one end-to-end metric over the pairs that neither side failed."""
+    """Both sides of one end-to-end metric; pairs with a failed side are not compared."""
     name, higher = metric["name"], metric["better"] == "higher"
     pairs = [(p, c) for p, c in zip(parent_runs, change_runs) if not faults(p) and not faults(c)]
     par = [p["metrics"][name]["value"] for p, _ in pairs]
     chg = [c["metrics"][name]["value"] for _, c in pairs]
     wins = sum((c > p) if higher else (c < p) for p, c in zip(par, chg))
     out = {"unit": metric["unit"], "better": metric["better"], "bound": metric["bound"],
-           "parent": summary(par), "change": summary(chg), "wins": wins, "of": len(pairs)}
+           "parent": summary(par), "change": summary(chg), "wins": wins, "of": len(parent_runs)}
     if pairs:
         pm, cm = out["parent"]["median"], out["change"]["median"]
         limit = pm * (1.0 - metric["bound"]) if higher else pm * (1.0 + metric["bound"])
         out["worse_than_bound"] = cm < limit if higher else cm > limit
         gap = (cm - pm) if higher else (pm - cm)
         iqr = out["parent"]["q3"] - out["parent"]["q1"]
-        out["gain"] = wins >= 0.9 * len(pairs) and gap > iqr
+        failed = {side: sum(1 for r in rs if faults(r))
+                  for side, rs in (("parent", parent_runs), ("change", change_runs))}
+        out["gain"] = (wins >= 0.9 * len(parent_runs) and gap > iqr
+                       and failed["change"] <= failed["parent"])
     return out
 
 
@@ -112,7 +120,6 @@ def main(argv=None) -> int:
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seconds", type=float, default=30.0)
     ap.add_argument("--seed", type=int, default=201)
-    ap.add_argument("--held-out", type=int, default=2718, help="seed of one more pair")
     ap.add_argument("--workloads", nargs="*", help="default: every workload in BENCHMARK.json")
     args = ap.parse_args(argv)
 
@@ -126,14 +133,14 @@ def main(argv=None) -> int:
 
     record = {"base": base, "change": change, "pairs": args.pairs, "seconds": args.seconds,
               "seeds": list(range(args.seed, args.seed + args.pairs)),
-              "held_out_seed": args.held_out, "workloads": {}}
+              "held_out_seed": HELD_OUT_SEED, "workloads": {}}
     scratch = Path(tempfile.mkdtemp(prefix="ab-"))
     parent = scratch / "parent"
     try:
         export(base, parent, root)
         for workload in workloads:
             runs = {"parent": [], "change": []}
-            for i, seed in enumerate(record["seeds"] + [args.held_out]):
+            for i, seed in enumerate(record["seeds"] + [HELD_OUT_SEED]):
                 order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
                 for side in order:
                     run = bench_run(parent if side == "parent" else root, workload, seed, args.seconds, 0)

@@ -130,13 +130,16 @@ class _Work:
 
     The kernel writes every entry before it reads it, so a set carries
     nothing from one strip, panel, bump or fan to the next. frac is where
-    each node sits across a strip, 0.5 (node + 1); it is nondecreasing,
-    so each row of a strip's node grid is monotone.
+    each node sits across a strip, 0.5 (node + 1). The end-column inside
+    test needs it nondecreasing, so that each row of a strip's node grid is
+    monotone; that is checked here, once per set.
     """
 
     def __init__(self, n: int):
         self.n = n
         self.frac = 0.5 * (_gauss(n)[0][None, :] + 1.0)
+        if np.any(np.diff(self.frac[0]) < 0.0):
+            raise RuntimeError(f"Gauss-Legendre nodes of order {n} are not in order")
         self.frac.flags.writeable = False
         self.x, self.w, self.p, self.b, self.t1, self.t2 = (np.empty((n, n)) for _ in range(6))
 

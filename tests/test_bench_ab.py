@@ -28,6 +28,28 @@ def test_failed_runs_cannot_win_pairs():
     change = [run(200.0, 1, correct=False, failed=3), run(90.0, 2),
               run(200.0, 3, failed=1), {"seed": 4, "exit": 1, "error": "crashed"}]
     got = ab.compare(METRIC, parent, change)
-    assert (got["wins"], got["of"]) == (0, 1)
+    assert (got["wins"], got["of"]) == (0, 4)
     assert got["change"]["runs"] == [90.0] and got["parent"]["runs"] == [100.0]
     assert got["gain"] is False
+
+
+def test_excluded_pairs_count_against_the_gain():
+    # Nine of ten pairs fail on the change's side; it wins the one left.
+    parent = [run(100.0, s) for s in range(10)]
+    change = [run(200.0, s, failed=1) for s in range(9)] + [run(150.0, 9)]
+    got = ab.compare(METRIC, parent, change)
+    assert (got["wins"], got["of"]) == (1, 10)
+    assert got["gain"] is False
+
+
+def test_change_may_not_fail_more_than_parent():
+    # Nine clean wins of ten still read as no gain when the tenth pair
+    # failed on the change's side only.
+    parent = [run(100.0 + s, s) for s in range(10)]
+    change = [run(200.0, s) for s in range(9)] + [run(200.0, 9, correct=False)]
+    got = ab.compare(METRIC, parent, change)
+    assert (got["wins"], got["of"]) == (9, 10)
+    assert got["gain"] is False
+    # The same pair failing on the parent's side leaves the gain standing.
+    parent[9], change[9] = run(100.0, 9, exit=1), run(200.0, 9)
+    assert ab.compare(METRIC, parent, change)["gain"] is True
