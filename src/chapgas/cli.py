@@ -26,7 +26,7 @@ from functools import cache
 
 import numpy as np
 
-from .errors import ChapgasError, NonFiniteInput, ValidationError
+from .errors import ChapgasError, DensityOutOfRange, NonFiniteInput, ValidationError
 from .fv import (
     FvConfig,
     compare_to_exact,
@@ -69,7 +69,12 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _emit_json(payload: dict, out: str | None) -> None:
-    _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", out)
+    # strict JSON: a nan or an infinity is an error, not a NaN or Infinity literal
+    try:
+        text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise DensityOutOfRange(f"output holds a non-finite number: {exc}") from exc
+    _emit(text + "\n", out)
 
 
 def _load_config(path: str) -> dict:
@@ -365,7 +370,7 @@ def cmd_limit(cfg: dict, out: str | None) -> int:
         "problem": _problem_echo(p),
         "case": rep.case,
         "a_values": list(rep.a_values),
-        "targets": {k: _clean(v) for k, v in rep.targets.items()},
+        "targets": rep.targets,
         "rates": {k: _clean(v) for k, v in rep.rates.items()},
         "rows": [dict(r) for r in rep.rows],
     }

@@ -20,9 +20,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import RegionMismatch, Unreachable
+from .errors import RegionMismatch
 from .states import (
-    GasParams,
     ParabolicPath,
     Region,
     RiemannProblem,
@@ -59,12 +58,6 @@ class DeltaShockWave:
     @property
     def path(self) -> ParabolicPath:
         return ParabolicPath(self.v_delta, self.beta)
-
-
-def _require_delta_data(p: RiemannProblem) -> None:
-    region = classify_region(p)
-    if region not in (Region.III, Region.OnSdelta):
-        raise RegionMismatch(f"delta shock requires region III data, got {region.value}")
 
 
 def _delta_params(p: RiemannProblem):
@@ -111,20 +104,11 @@ def _delta_params(p: RiemannProblem):
     return v_delta, w0
 
 
-def delta_speed(p: RiemannProblem) -> float:
-    """Drift-free delta-shock speed v_delta."""
-    _require_delta_data(p)
-    return _delta_params(p)[0]
-
-
-def delta_weight_rate(p: RiemannProblem) -> float:
-    """Weight growth rate w0 with w(t) = w0 t; positive for admissible data."""
-    _require_delta_data(p)
-    return _delta_params(p)[1]
-
-
 def make_delta_wave(p: RiemannProblem) -> DeltaShockWave:
-    _require_delta_data(p)
+    """The delta shock of region III data, or of data on the S_delta line."""
+    region = classify_region(p)
+    if region not in (Region.III, Region.OnSdelta):
+        raise RegionMismatch(f"delta shock requires region III data, got {region.value}")
     v_delta, w0 = _delta_params(p)
     return DeltaShockWave(v_delta=v_delta, w0=w0, beta=p.params.beta)
 
@@ -159,13 +143,13 @@ def grh_residual(p: RiemannProblem, wave: DeltaShockWave, t: float):
     return r1, r2, r3
 
 
-def entropy_check(p: RiemannProblem, wave: DeltaShockWave, t: float = 0.0) -> bool:
+def entropy_check(p: RiemannProblem, wave: DeltaShockWave) -> bool:
     """Overcompressivity: u_r <= v_delta <= u_l - A/rho_l**alpha.
 
     At A = 0 chap is 0.0, so the upper bound is u_l. The condition is
-    time-invariant (every term in the time-shifted bracket drifts by the
-    same beta t, so t does not enter the comparison). Comparisons allow a
-    round-off margin and admit boundary data with equality.
+    time-invariant: every term in the time-shifted bracket drifts by the
+    same beta t, so it is stated in the drift-free speeds. Comparisons allow
+    a round-off margin and admit boundary data with equality.
     """
     tol = 1e-12 * problem_scale(p)
     upper = p.left.v - p.params.chap(p.left.rho)
@@ -211,41 +195,3 @@ def speed_quadratic_residual(p: RiemannProblem, wave: DeltaShockWave) -> float:
     c = rho_r * u_r * (u_r - g.chap(rho_r)) - rho_l * u_l * (u_l - g.chap(rho_l))
     return (a * wave.v_delta - b) * wave.v_delta + c
 
-
-def trajectory_inverse(wave: DeltaShockWave, x: float):
-    """All times t >= 0 at which the delta trajectory passes through x.
-
-    Returns a sorted tuple (one entry for a tangency, two when the parabola
-    crosses x twice at nonnegative times). Raises Unreachable when the
-    trajectory never attains x.
-    """
-    if not math.isfinite(x):
-        raise Unreachable(f"x must be finite, got {x!r}")
-    b = wave.v_delta
-    if wave.beta == 0.0:
-        if b == 0.0:
-            if x == 0.0:
-                return (0.0,)
-            raise Unreachable("stationary delta shock stays at x = 0")
-        t = x / b
-        if t < 0.0:
-            raise Unreachable(f"x = {x} lies behind the trajectory")
-        return (t,)
-
-    a = 0.5 * wave.beta
-    c = -x
-    disc = b * b - 4.0 * a * c
-    if disc < 0.0:
-        raise Unreachable(f"trajectory never reaches x = {x}")
-    if disc == 0.0:
-        roots = [-b / (2.0 * a)]
-    else:
-        sq = math.sqrt(disc)
-        q = -0.5 * (b + sq) if b >= 0.0 else -0.5 * (b - sq)
-        roots = [q / a]
-        # q = 0 forces b = 0 and disc = 0, handled above
-        roots.append(c / q)
-    hits = sorted(t for t in roots if t >= 0.0)
-    if not hits:
-        raise Unreachable(f"trajectory reaches x = {x} only at negative times")
-    return tuple(hits)

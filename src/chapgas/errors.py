@@ -38,8 +38,10 @@ class DensityOutOfRange(ChapgasError):
 
     Raised for a star density, or a wave speed or jump flux derived from it,
     outside the float64 range; for a rarefaction state whose fan is narrower
-    than one ulp; and for a problem scale whose cube, which sets the check
-    tolerances, overflows.
+    than one ulp; for a problem scale whose cube, which sets the check
+    tolerances, overflows; for a sampled velocity, delta weight or delta
+    velocity, or an amplitude-sweep row or target, that overflows; and for
+    any command output that would hold a nan or an infinity.
     """
 
 
@@ -49,10 +51,6 @@ class OutsideFan(ChapgasError):
 
 class NegativeTime(ChapgasError):
     """Solution evaluation requires t > 0."""
-
-
-class Unreachable(ChapgasError):
-    """The delta-shock trajectory never passes through the requested point."""
 
 
 class UnsupportedQuadOrder(ValidationError):
@@ -69,7 +67,3 @@ class CflViolation(ChapgasError):
 
 class WindowOutOfDomain(ValidationError):
     """Measurement window (plus its background cells) leaves the grid."""
-
-
-class TimeMismatch(ChapgasError):
-    """Finite-volume state and exact solution are at different times."""

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .delta import _delta_params
-from .errors import CaseMismatch, RegionMismatch, ValidationError
+from .errors import CaseMismatch, DensityOutOfRange, RegionMismatch, ValidationError
 from .states import GasParams, Region, RiemannProblem, classify_region, pressureless_case
 from .waves import solve
 
@@ -89,7 +89,8 @@ def limit_study(p: RiemannProblem, sweep=None) -> LimitReport:
     The sweep defaults to default_sweep(p). Targets are the pressureless
     solution of the same data (delta speed/weight for compressive data,
     vacuum edges for expansive data); region II entries additionally carry
-    concentration errors against the A -> A0 limits at t = 1.
+    concentration errors against the A -> A0 limits at t = 1. Raises
+    DensityOutOfRange when a row or a target leaves the float64 range.
     """
     if sweep is None:
         sweep = default_sweep(p)
@@ -103,7 +104,8 @@ def limit_study(p: RiemannProblem, sweep=None) -> LimitReport:
 
     rows = []
     targets: dict = {}
-    rates: dict = {}
+    # each fitted rate is a name and its (amplitudes, errors) series
+    fits: dict = {}
 
     if case == "expansion":
         targets = {"x_left": u_l, "x_right": u_r, "rho_star": 0.0}
@@ -117,8 +119,7 @@ def limit_study(p: RiemannProblem, sweep=None) -> LimitReport:
                     "head_gap": abs(fan.path("R1.head").c - u_l),
                 }
             )
-        rates["rho_star"] = _fit_rate(a_values, [r["rho_star"] for r in rows])
-        rates["head_gap"] = _fit_rate(a_values, [r["head_gap"] for r in rows])
+        fits = {name: (a_values, [r[name] for r in rows]) for name in ("rho_star", "head_gap")}
 
     elif case == "contact":
         targets = {"contact_speed": u_l}
@@ -131,12 +132,12 @@ def limit_study(p: RiemannProblem, sweep=None) -> LimitReport:
     else:
         p0 = _with_amplitude(p, 0.0)
         v_delta0, w00 = _delta_params(p0)
-        a0, _ = thresholds(p)
         targets = {
             "v_delta": v_delta0,
             "w0": w00,
             "mass": p.left.rho * (u_l - u_r),
             "momentum": p.left.rho * (u_l - u_r) * (u_r + p.params.beta),
+            "A0": thresholds(p)[0],
         }
         iii_a, iii_v_err, iii_w_err = [], [], []
         for a in a_values:
@@ -171,10 +172,12 @@ def limit_study(p: RiemannProblem, sweep=None) -> LimitReport:
                     }
                 )
         # rows are ordered by decreasing A, so the tail is the small-A end
-        rates["v_delta_err"] = _fit_rate(iii_a, iii_v_err)
-        rates["w0_err"] = _fit_rate(iii_a, iii_w_err)
-        targets["A0"] = a0
+        fits = {"v_delta_err": (iii_a, iii_v_err), "w0_err": (iii_a, iii_w_err)}
 
+    numbers = [v for row in rows for v in row.values() if not isinstance(v, str)]
+    if not all(map(math.isfinite, numbers + list(targets.values()))):
+        raise DensityOutOfRange("the amplitude sweep leaves the float64 range")
+    rates = {name: _fit_rate(a, errors) for name, (a, errors) in fits.items()}
     return LimitReport(
         case=case, a_values=a_values, rows=tuple(rows), targets=targets, rates=rates
     )

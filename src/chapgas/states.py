@@ -49,9 +49,6 @@ class GasParams:
         """Magnitude A / rho**alpha of the Chaplygin pressure."""
         return self.A / rho ** self.alpha
 
-    def pressure(self, rho: float) -> float:
-        return -self.chap(rho)
-
 
 @dataclass(frozen=True)
 class PrimState:
@@ -69,8 +66,8 @@ class PrimState:
 class RiemannProblem:
     """Two constant states separated at x = 0 at time zero.
 
-    Construction validates the data (validate_problem), so every
-    RiemannProblem in existence is usable.
+    Construction validates the data, raising a ValidationError subclass if
+    they are unusable, so every RiemannProblem in existence is usable.
     """
 
     left: PrimState
@@ -78,7 +75,18 @@ class RiemannProblem:
     params: GasParams
 
     def __post_init__(self):
-        validate_problem(self)
+        g = self.params
+        for name in ("A", "alpha", "beta"):
+            _require_finite(getattr(g, name), name)
+        if g.A < 0.0:
+            raise NegativeAmplitude(f"A must be >= 0, got {g.A!r}")
+        if not (0.0 < g.alpha < 1.0):
+            raise AlphaOutOfRange(f"alpha must lie in (0, 1), got {g.alpha!r}")
+        for name, s in (("left", self.left), ("right", self.right)):
+            _require_finite(s.rho, f"{name}.rho")
+            _require_finite(s.v, f"{name}.v")
+            if s.rho <= 0.0:
+                raise NonPositiveDensity(f"{name}.rho must be > 0, got {s.rho!r}")
 
 
 @dataclass(frozen=True)
@@ -118,29 +126,6 @@ class Region(Enum):
 def _require_finite(value: float, name: str) -> None:
     if not math.isfinite(value):
         raise NonFiniteInput(f"{name} must be finite, got {value!r}")
-
-
-def validate_params(g: GasParams) -> None:
-    for name in ("A", "alpha", "beta"):
-        _require_finite(getattr(g, name), name)
-    if g.A < 0.0:
-        raise NegativeAmplitude(f"A must be >= 0, got {g.A!r}")
-    if not (0.0 < g.alpha < 1.0):
-        raise AlphaOutOfRange(f"alpha must lie in (0, 1), got {g.alpha!r}")
-
-
-def validate_state(s: PrimState, name: str = "state") -> None:
-    _require_finite(s.rho, f"{name}.rho")
-    _require_finite(s.v, f"{name}.v")
-    if s.rho <= 0.0:
-        raise NonPositiveDensity(f"{name}.rho must be > 0, got {s.rho!r}")
-
-
-def validate_problem(p: RiemannProblem) -> None:
-    """Raise a ValidationError subclass if the problem data are unusable."""
-    validate_params(p.params)
-    validate_state(p.left, "left")
-    validate_state(p.right, "right")
 
 
 def problem_scale(p: RiemannProblem) -> float:

@@ -151,12 +151,10 @@ def _ordering_rows(rows: list[CheckRow], fan: WaveFan, scale: float) -> None:
         rows.append(_marginrow(name, margin, 1e-12 * scale))
 
 
-def _battery_rows(
-    rows: list[CheckRow], p: RiemannProblem, fan: WaveFan, quad_n: int, scale: float
-) -> None:
+def _battery_rows(rows: list[CheckRow], fan: WaveFan, quad_n: int, scale: float) -> None:
     tol = 1e-6 * scale**3
     for i, psi in enumerate(residual_battery(fan)):
-        r1, r2 = weak_residual(p, fan, psi, quad_n=quad_n)
+        r1, r2 = weak_residual(fan, psi, quad_n=quad_n)
         rows.append(_absrow(f"weak.psi{i}.mass", r1, tol))
         rows.append(_absrow(f"weak.psi{i}.momentum", r2, tol))
 
@@ -198,7 +196,7 @@ def fan_checks(
     if fan.delta is not None:
         _delta_rows(rows, fan, scale)
 
-    _battery_rows(rows, p, fan, quad_n, scale)
+    _battery_rows(rows, fan, quad_n, scale)
     return fan, rows
 
 

@@ -282,25 +282,13 @@ class SampleKind:
 
 
 @dataclass(frozen=True)
-class SolutionSample:
-    """Pointwise solution value; rho/u for regular points, weight/u_delta on
-    the delta trajectory, neither in a vacuum."""
-
-    kind: str
-    rho: float | None = None
-    u: float | None = None
-    weight: float | None = None
-    u_delta: float | None = None
-
-
-@dataclass(frozen=True)
 class SolutionSlice:
-    """Solution at an array of points x at one time t.
+    """Solution at points x at one time t.
 
-    kind, rho and u have the shape of x; rho and u are nan wherever kind is
-    not regular. weight and u_delta are the delta's running weight and
-    velocity at t for a delta-shock fan (whether or not any point sits on
-    the delta), None otherwise.
+    kind, rho and u have the shape of x (0-d for a scalar x); rho and u are
+    nan wherever kind is not regular. weight and u_delta are the delta's
+    running weight and velocity at t for a delta-shock fan (whether or not
+    any point sits on the delta), None otherwise.
     """
 
     kind: np.ndarray
@@ -312,17 +300,26 @@ class SolutionSlice:
 
 def evaluate(
     fan: WaveFan, x: float | np.ndarray, t: float, loc_tol: float | None = None
-) -> SolutionSample | SolutionSlice:
+) -> SolutionSlice:
     """Sample the solution at points x and one time t > 0.
 
     Points within loc_tol of a delta trajectory are on the delta and report
     its running weight w(t) and velocity; loc_tol defaults to
     1e-9 * max(1, |x|) per point. Points strictly inside a vacuum segment
-    are vacuum; all others are regular. A scalar x gives a
-    SolutionSample, an array x a SolutionSlice of the same shape.
+    are vacuum; all others are regular. Raises DensityOutOfRange when the
+    drift beta t, a constant segment's velocity or the delta's weight or
+    velocity at t leaves the float64 range.
     """
     if t <= 0.0:
         raise NegativeTime(f"evaluation requires t > 0, got t = {t}")
+    bt = fan.problem.params.beta * t
+    values = [bt] + [seg.v + bt for seg in fan.states if seg is not None]
+    weight = u_delta = None
+    if fan.delta is not None:
+        weight, u_delta = fan.delta.weight(t), fan.delta.u_delta(t)
+        values += [weight, u_delta]
+    if not all(map(math.isfinite, values)):
+        raise DensityOutOfRange(f"the solution at t = {t!r} leaves the float64 range")
     xa = np.asarray(x, dtype=float)
     if loc_tol is None:
         loc_tol = 1e-9 * np.maximum(1.0, np.abs(xa))
@@ -330,7 +327,6 @@ def evaluate(
     rho, u = _profile(fan, xa, t)
     kind = np.full(xa.shape, SampleKind.REGULAR, dtype=object)
     special = np.zeros(xa.shape, dtype=bool)
-    weight = u_delta = None
     for k in range(1, len(fan.waves)):
         if fan.is_vacuum(k):
             lo, hi = (wave.path.position(t) for wave in fan.waves[k - 1 : k + 1])
@@ -341,15 +337,6 @@ def evaluate(
         on_delta = np.abs(xa - fan.delta.position(t)) <= loc_tol
         kind[on_delta] = SampleKind.ON_DELTA
         special |= on_delta
-        weight, u_delta = fan.delta.weight(t), fan.delta.u_delta(t)
     rho[special] = np.nan
     u[special] = np.nan
-
-    if xa.ndim > 0:
-        return SolutionSlice(kind=kind, rho=rho, u=u, weight=weight, u_delta=u_delta)
-    k = kind.item()
-    if k == SampleKind.REGULAR:
-        return SolutionSample(kind=k, rho=float(rho), u=float(u))
-    if k == SampleKind.ON_DELTA:
-        return SolutionSample(kind=k, weight=weight, u_delta=u_delta)
-    return SolutionSample(kind=k)
+    return SolutionSlice(kind=kind, rho=rho, u=u, weight=weight, u_delta=u_delta)

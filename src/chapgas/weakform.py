@@ -50,7 +50,6 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import NonFiniteInput, UnsupportedQuadOrder, ValidationError
-from .states import RiemannProblem
 from .waves import WaveFan, _profile
 
 
@@ -235,10 +234,11 @@ def _crossing_times(c: float, beta: float, x_edge: float, t_lo: float, t_hi: flo
     return [t for t in hits if t_lo < t < t_hi]
 
 
-def weak_residual(p: RiemannProblem, fan: WaveFan, psi: TestFunction, quad_n: int = 64):
-    """Residuals (R1, R2) of the two weak-form identities against psi."""
+def weak_residual(fan: WaveFan, psi: TestFunction, quad_n: int = 64):
+    """Residuals (R1, R2) of the two weak-form identities of fan.problem
+    against psi."""
     n = _check_order(quad_n)
-    g = p.params
+    g = fan.problem.params
     nodes, wts = _gauss(n)
     ws = _work(n)
 
@@ -315,41 +315,37 @@ def weak_residual(p: RiemannProblem, fan: WaveFan, psi: TestFunction, quad_n: in
     return r1, r2
 
 
-def residual_battery(fan: WaveFan, t_center: float = 1.0):
-    """Five deterministic test bumps probing the fan around t = t_center.
+def residual_battery(fan: WaveFan):
+    """Five deterministic test bumps probing the fan around t = 1.
 
     One wide bump covering every wave, smooth-region bumps clear of the
     waves, and one bump straddling each individual wave, five in total.
     """
-    beta = fan.problem.params.beta
-    rt = 0.4 * t_center
-    span_t = (t_center - rt, t_center + rt)
+    rt = 0.4
+    span_t = (1.0 - rt, 1.0 + rt)
     positions = []
     speeds = []
     paths = [wave.path for wave in fan.waves]
     for path in paths:
-        positions.append(path.position(t_center))
+        positions.append(path.position(1.0))
         speeds.append(max(abs(path.speed(span_t[0])), abs(path.speed(span_t[1]))))
     lo = min(path.position(tt) for path in paths for tt in span_t)
     hi = max(path.position(tt) for path in paths for tt in span_t)
 
-    wide = TestFunction(
-        x0=0.5 * (lo + hi), t0=t_center, rx=0.5 * (hi - lo) + 1.0, rt=rt
-    )
-    left_clear = TestFunction(x0=lo - 1.5, t0=t_center, rx=1.0, rt=rt)
-    right_clear = TestFunction(x0=hi + 1.5, t0=t_center, rx=1.0, rt=rt)
+    wide = TestFunction(x0=0.5 * (lo + hi), t0=1.0, rx=0.5 * (hi - lo) + 1.0, rt=rt)
+    left_clear = TestFunction(x0=lo - 1.5, t0=1.0, rx=1.0, rt=rt)
+    right_clear = TestFunction(x0=hi + 1.5, t0=1.0, rx=1.0, rt=rt)
 
     bumps = [wide, left_clear]
     for xk, sk in zip(positions, speeds):
         # wide enough that the wave stays inside the bump across its t-window
-        bumps.append(TestFunction(x0=xk, t0=t_center, rx=max(0.5, 0.6 * sk * rt + 0.3), rt=rt))
+        bumps.append(TestFunction(x0=xk, t0=1.0, rx=max(0.5, 0.6 * sk * rt + 0.3), rt=rt))
         if len(bumps) == 5:
             break
     if len(bumps) < 5:
         bumps.append(right_clear)
     if len(bumps) < 5:
-        shifted = 1.4 * t_center
         bumps.append(
-            TestFunction(x0=0.5 * (lo + hi), t0=shifted, rx=0.5 * (hi - lo) + 1.5, rt=0.4 * shifted)
+            TestFunction(x0=0.5 * (lo + hi), t0=1.4, rx=0.5 * (hi - lo) + 1.5, rt=0.4 * 1.4)
         )
     return tuple(bumps)

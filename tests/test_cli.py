@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from chapgas import cli
+from chapgas import DensityOutOfRange, cli
 from chapgas.cli import main
 from chapgas.waves import SampleKind, evaluate, solve
 from helpers import loads_strict, make_problem
@@ -668,3 +668,37 @@ class TestStarDensityRange:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "DensityOutOfRange" in captured.err
+
+
+class TestNonFiniteOutput:
+    @pytest.mark.parametrize(
+        "command, payload",
+        [
+            (
+                "sample",
+                {"rho_l": 1, "u_l": 1, "rho_r": 0.04, "u_r": 2, "A": 0.25, "beta": 1e300,
+                 "x_min": -2, "x_max": 4, "x_count": 5, "times": [1e10]},
+            ),
+            (
+                "sample",
+                {"rho_l": 1, "u_l": 1, "rho_r": 1, "u_r": -1, "A": 0.25,
+                 "x_min": -1.25e307, "x_max": 0, "x_count": 2, "times": [1e308]},
+            ),
+            ("limit", {"rho_l": 1e200, "u_l": 1e200, "rho_r": 1, "u_r": 0, "A": 0}),
+            ("limit", {"rho_l": 1, "u_l": 1, "rho_r": 1, "u_r": -1, "A": 0, "beta": 1e308}),
+        ],
+        ids=["sample-drift", "sample-delta-weight", "limit-rows", "limit-momentum-target"],
+    )
+    def test_overflow_exits_2_with_empty_stdout(self, tmp_path, capsys, command, payload):
+        # each of these used to exit 0 writing inf, NaN or Infinity
+        cfg = write_config(tmp_path, payload)
+        assert main([command, "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "DensityOutOfRange" in captured.err
+
+    def test_json_writer_refuses_non_finite_numbers(self, capsys):
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(DensityOutOfRange):
+                cli._emit_json({"value": value}, None)
+        assert capsys.readouterr().out == ""

@@ -1,4 +1,4 @@
-"""Delta-shock construction: closed forms, GRH identities, trajectory."""
+"""Delta-shock construction: closed forms and GRH identities."""
 
 import numpy as np
 import pytest
@@ -7,16 +7,12 @@ from chapgas import (
     DeltaShockWave,
     ParabolicPath,
     RegionMismatch,
-    Unreachable,
     c_identity_residual,
-    delta_speed,
-    delta_weight_rate,
     entropy_check,
     grh_residual,
     make_delta_wave,
     problem_scale,
     speed_quadratic_residual,
-    trajectory_inverse,
 )
 from helpers import draw_region_problem, make_problem
 
@@ -37,16 +33,16 @@ def region3_sweep(n=50, alphas=(0.3, 0.5, 0.8), betas=(-1.0, 0.0, 2.0)):
 
 class TestClosedForms:
     def test_equal_density_speed(self):
-        assert delta_speed(EQUAL_DENSITY) == -0.125
+        assert make_delta_wave(EQUAL_DENSITY).v_delta == -0.125
 
     def test_equal_density_weight_rate(self):
-        assert delta_weight_rate(EQUAL_DENSITY) == 2.0
+        assert make_delta_wave(EQUAL_DENSITY).w0 == 2.0
 
     def test_pressureless_speed(self):
-        assert delta_speed(PRESSURELESS) == pytest.approx(2.0 / 3.0, rel=1e-15)
+        assert make_delta_wave(PRESSURELESS).v_delta == pytest.approx(2.0 / 3.0, rel=1e-15)
 
     def test_pressureless_weight_rate(self):
-        assert delta_weight_rate(PRESSURELESS) == pytest.approx(2.0, rel=1e-15)
+        assert make_delta_wave(PRESSURELESS).w0 == pytest.approx(2.0, rel=1e-15)
 
     def test_weight_rate_at_coalescence_boundary(self):
         # u_r = u_l - A/rho^alpha with equal densities: w0 = A * rho**(1 - alpha)
@@ -57,21 +53,21 @@ class TestClosedForms:
         assert entropy_check(p, wave)
 
     def test_beta_does_not_enter_coefficients(self):
-        drifted = make_problem(4.0, 1.0, 1.0, 0.0, beta=2.0)
-        assert delta_speed(drifted) == delta_speed(PRESSURELESS)
-        assert delta_weight_rate(drifted) == delta_weight_rate(PRESSURELESS)
+        drifted = make_delta_wave(make_problem(4.0, 1.0, 1.0, 0.0, beta=2.0))
+        still = make_delta_wave(PRESSURELESS)
+        assert (drifted.v_delta, drifted.w0) == (still.v_delta, still.w0)
 
     def test_weight_positive_in_interior(self):
         for p in region3_sweep(20):
-            assert delta_weight_rate(p) > 0.0
+            assert make_delta_wave(p).w0 > 0.0
 
     def test_rejects_region_one_data(self):
         with pytest.raises(RegionMismatch):
-            delta_speed(make_problem(1.0, 0.0, 1.0, 1.0, a=0.5))
+            make_delta_wave(make_problem(1.0, 0.0, 1.0, 1.0, a=0.5))
 
     def test_rejects_region_two_data(self):
         with pytest.raises(RegionMismatch):
-            delta_weight_rate(make_problem(1.0, 1.0, 1.0, 0.8, a=0.5))
+            make_delta_wave(make_problem(1.0, 1.0, 1.0, 0.8, a=0.5))
 
     def test_rejects_pressureless_expansion(self):
         with pytest.raises(RegionMismatch):
@@ -139,10 +135,9 @@ class TestGrhResidual:
 
 
 class TestEntropy:
-    @pytest.mark.parametrize("t", [0.0, 1.0, 100.0])
-    def test_equal_density_example(self, t):
+    def test_equal_density_example(self):
         wave = make_delta_wave(EQUAL_DENSITY)
-        assert entropy_check(EQUAL_DENSITY, wave, t)
+        assert entropy_check(EQUAL_DENSITY, wave)
 
     def test_bracket(self):
         # u_r <= v_delta <= u_l - A/rho_l**alpha in the region interior
@@ -150,12 +145,6 @@ class TestEntropy:
             wave = make_delta_wave(p)
             g = p.params
             assert p.right.v <= wave.v_delta <= p.left.v - g.chap(p.left.rho)
-
-    def test_time_invariant(self):
-        for p in region3_sweep(5):
-            wave = make_delta_wave(p)
-            results = {entropy_check(p, wave, t) for t in (0.0, 1.0, 10.0, 100.0)}
-            assert results == {True}
 
     def test_swapped_states_fail(self):
         swapped = make_problem(1.0, -1.0, 1.0, 1.0, a=0.25, alpha=0.5)
@@ -210,71 +199,18 @@ class TestCIdentity:
 
 class TestSeams:
     def test_density_seam_linear(self):
-        v_eq = delta_speed(EQUAL_DENSITY)
-        w_eq = delta_weight_rate(EQUAL_DENSITY)
+        eq = make_delta_wave(EQUAL_DENSITY)
         for eps in (1e-5, 1e-7, 1e-9, -1e-5, -1e-9):
-            p = make_problem(1.0, 1.0, 1.0 + eps, -1.0, a=0.25, alpha=0.5)
-            assert abs(delta_speed(p) - v_eq) <= 2.0 * abs(eps)
-            assert abs(delta_weight_rate(p) - w_eq) <= 2.0 * abs(eps)
+            wave = make_delta_wave(make_problem(1.0, 1.0, 1.0 + eps, -1.0, a=0.25, alpha=0.5))
+            assert abs(wave.v_delta - eq.v_delta) <= 2.0 * abs(eps)
+            assert abs(wave.w0 - eq.w0) <= 2.0 * abs(eps)
 
     def test_pressure_seam_linear(self):
         # A = 10**-k approaches the pressureless coefficients at rate O(A)
-        v0 = delta_speed(PRESSURELESS)
-        w0 = delta_weight_rate(PRESSURELESS)
+        still = make_delta_wave(PRESSURELESS)
         for k in range(2, 9):
             a = 10.0**-k
-            p = make_problem(4.0, 1.0, 1.0, 0.0, a=a, alpha=0.5)
-            assert abs(delta_speed(p) - v0) <= 2.0 * a
-            assert abs(delta_weight_rate(p) - w0) <= 2.0 * a
+            wave = make_delta_wave(make_problem(4.0, 1.0, 1.0, 0.0, a=a, alpha=0.5))
+            assert abs(wave.v_delta - still.v_delta) <= 2.0 * a
+            assert abs(wave.w0 - still.w0) <= 2.0 * a
 
-
-class TestTrajectoryInverse:
-    def test_accelerated_from_rest(self):
-        assert trajectory_inverse(DeltaShockWave(0.0, 1.0, 2.0), 4.0) == (2.0,)
-
-    def test_linear(self):
-        assert trajectory_inverse(DeltaShockWave(0.5, 1.0, 0.0), 2.0) == (4.0,)
-
-    def test_origin_always_reached(self):
-        for wave in (
-            DeltaShockWave(0.5, 1.0, 0.0),
-            DeltaShockWave(0.5, 1.0, 2.0),
-            DeltaShockWave(0.5, 1.0, -1.0),
-            DeltaShockWave(0.0, 1.0, 0.0),
-        ):
-            assert 0.0 in trajectory_inverse(wave, 0.0)
-
-    def test_decelerated_two_crossings(self):
-        hits = trajectory_inverse(DeltaShockWave(1.0, 1.0, -1.0), 0.375)
-        assert hits == (0.5, 1.5)
-
-    def test_tangency_single_root(self):
-        assert trajectory_inverse(DeltaShockWave(1.0, 1.0, -1.0), 0.5) == (1.0,)
-
-    def test_beyond_turning_point(self):
-        with pytest.raises(Unreachable):
-            trajectory_inverse(DeltaShockWave(1.0, 1.0, -1.0), 0.6)
-
-    def test_behind_linear_trajectory(self):
-        with pytest.raises(Unreachable):
-            trajectory_inverse(DeltaShockWave(1.0, 1.0, 0.0), -0.5)
-
-    def test_stationary(self):
-        wave = DeltaShockWave(0.0, 1.0, 0.0)
-        assert trajectory_inverse(wave, 0.0) == (0.0,)
-        with pytest.raises(Unreachable):
-            trajectory_inverse(wave, 0.1)
-
-    def test_roundtrip_sweep(self):
-        rng = np.random.default_rng(5)
-        for _ in range(200):
-            wave = DeltaShockWave(
-                float(rng.uniform(-3.0, 3.0)), 1.0, float(rng.uniform(-2.0, 2.0))
-            )
-            t_ref = float(rng.uniform(0.0, 5.0))
-            x = wave.position(t_ref)
-            hits = trajectory_inverse(wave, x)
-            assert any(abs(t - t_ref) <= 1e-9 * max(1.0, t_ref) for t in hits)
-            for t in hits:
-                assert t >= 0.0
-                assert abs(wave.position(t) - x) <= 1e-12 * max(1.0, abs(x))

@@ -2,7 +2,6 @@
 
 import math
 from dataclasses import replace
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,49 +17,46 @@ from chapgas import (
     Region,
     RiemannProblem,
     classify_region,
-    eigenvalues,
     pressureless_case,
     problem_scale,
     riemann_invariants,
-    validate_params,
-    validate_problem,
-    validate_state,
 )
+from chapgas.states import eigenvalues
 from helpers import draw_region_problem, make_problem
 
 
 class TestValidation:
     def test_good_params_pass(self):
-        validate_params(GasParams(A=0.25, alpha=0.5, beta=-1.0))
-        validate_params(GasParams(A=0.0, alpha=0.5, beta=0.0))
+        make_problem(1.0, 0.0, 2.0, 1.0, a=0.25, alpha=0.5, beta=-1.0)
+        make_problem(1.0, 0.0, 2.0, 1.0, a=0.0, alpha=0.5, beta=0.0)
 
     def test_negative_amplitude(self):
-        with pytest.raises(NegativeAmplitude):
-            validate_params(GasParams(A=-0.1, alpha=0.5))
+        with pytest.raises(NegativeAmplitude, match=r"^A must be >= 0, got -0\.1$"):
+            make_problem(1.0, 0.0, 2.0, 1.0, a=-0.1)
 
     @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.2, 1.5])
     def test_alpha_out_of_range_with_pressure(self, alpha):
-        with pytest.raises(AlphaOutOfRange):
-            validate_params(GasParams(A=1.0, alpha=alpha))
+        with pytest.raises(AlphaOutOfRange, match=r"^alpha must lie in \(0, 1\), got "):
+            make_problem(1.0, 0.0, 2.0, 1.0, a=1.0, alpha=alpha)
 
     def test_nonfinite_params(self):
-        with pytest.raises(NonFiniteInput):
-            validate_params(GasParams(A=math.inf, alpha=0.5))
-        with pytest.raises(NonFiniteInput):
-            validate_params(GasParams(A=1.0, alpha=0.5, beta=math.nan))
+        with pytest.raises(NonFiniteInput, match=r"^A must be finite, got inf$"):
+            make_problem(1.0, 0.0, 2.0, 1.0, a=math.inf)
+        with pytest.raises(NonFiniteInput, match=r"^beta must be finite, got nan$"):
+            make_problem(1.0, 0.0, 2.0, 1.0, a=1.0, beta=math.nan)
 
     @pytest.mark.parametrize("rho", [0.0, -1.0])
     def test_nonpositive_density(self, rho):
-        with pytest.raises(NonPositiveDensity):
-            validate_state(PrimState(rho=rho, v=1.0))
+        with pytest.raises(NonPositiveDensity, match=rf"^left\.rho must be > 0, got {rho!r}$"):
+            make_problem(rho, 1.0, 1.0, 1.0)
 
     def test_nonfinite_state(self):
-        with pytest.raises(NonFiniteInput):
-            validate_state(PrimState(rho=1.0, v=math.inf))
+        with pytest.raises(NonFiniteInput, match=r"^left\.v must be finite, got inf$"):
+            make_problem(1.0, math.inf, 1.0, 1.0)
 
-    def test_validate_problem_covers_both_sides(self):
-        with pytest.raises(NonPositiveDensity):
-            validate_problem(make_problem(1.0, 0.0, -1.0, 0.0))
+    def test_construction_checks_both_sides(self):
+        with pytest.raises(NonPositiveDensity, match=r"^right\.rho must be > 0, got -1\.0$"):
+            make_problem(1.0, 0.0, -1.0, 0.0)
 
 
 GOOD_FIELDS = {
@@ -91,11 +87,9 @@ class TestProblemConstruction:
     )
     def test_constructor_raises_what_validation_raises(self, field, value, error):
         fields = dict(GOOD_FIELDS, **{field: value})
-        with pytest.raises(error) as validated:
-            validate_problem(SimpleNamespace(**fields))
         with pytest.raises(error) as constructed:
             RiemannProblem(**fields)
-        assert validated.type is constructed.type is error
+        assert constructed.type is error
 
     @pytest.mark.parametrize(
         "change, error",
@@ -115,7 +109,6 @@ class TestPressure:
     def test_chap_term(self):
         g = GasParams(A=0.25, alpha=0.5)
         assert g.chap(4.0) == 0.125
-        assert g.pressure(4.0) == -0.125
 
     def test_pressureless_flag(self):
         assert GasParams(A=0.0, alpha=0.5).pressureless

@@ -150,7 +150,7 @@ class TestRarefactionState:
 
     def test_lambda1_equals_xi_inside(self):
         # the similarity variable is the first characteristic speed
-        from chapgas import eigenvalues
+        from chapgas.states import eigenvalues
 
         g = GasParams(0.7, 0.3, beta=1.5)
         left = PrimState(2.0, -0.4)
@@ -262,7 +262,7 @@ class TestRhResidual:
         assert abs(e1) > 1e-3
 
     def test_lax_inequalities_region_ii(self):
-        from chapgas import eigenvalues
+        from chapgas.states import eigenvalues
 
         rng = np.random.default_rng(41)
         for _ in range(60):
@@ -305,7 +305,7 @@ class TestEvaluate:
         fan = solve(make_problem(2.0, -1.0, 1.0, 1.0))
         inside = evaluate(fan, 0.0, 1.0)
         assert inside.kind == SampleKind.VACUUM
-        assert inside.rho is None
+        assert np.isnan(inside.rho) and np.isnan(inside.u)
         outside = evaluate(fan, -1.5, 1.0)
         assert outside.kind == SampleKind.REGULAR and outside.rho == 2.0
 
@@ -320,6 +320,25 @@ class TestEvaluate:
         assert s.u_delta == pytest.approx(fan.delta.v_delta + 2.0 * t, rel=1e-15)
         off = evaluate(fan, x + 1.0, t)
         assert off.kind == SampleKind.REGULAR
+
+    def test_scalar_point_gives_zero_dim_slice(self):
+        fan = solve(EXAMPLE_B)
+        s = evaluate(fan, 0.796, 1.0)
+        assert isinstance(s, SolutionSlice)
+        assert s.kind.shape == s.rho.shape == s.u.shape == ()
+        assert s.weight is None and s.u_delta is None
+
+    def test_overflowing_values_raise(self):
+        # beta t, a segment velocity, and the delta's weight at t overflow
+        rarefaction = solve(make_problem(1.0, 1.0, 0.04, 2.0, a=0.25, beta=1e300))
+        with pytest.raises(DensityOutOfRange):
+            evaluate(rarefaction, np.linspace(-2.0, 4.0, 5), 1e10)
+        contact = solve(make_problem(1.0, 1e308, 2.0, 1e308, beta=1e308))
+        with pytest.raises(DensityOutOfRange):
+            evaluate(contact, 0.0, 1.0)
+        delta = solve(make_problem(1.0, 1.0, 1.0, -1.0, a=0.25))
+        with pytest.raises(DensityOutOfRange):
+            evaluate(delta, np.array([-1.25e307, 0.0]), 1e308)
 
     def test_physical_velocity_includes_drift(self):
         p = make_problem(1.0, 1.0, 2.0, 0.8, a=0.25, beta=2.0)

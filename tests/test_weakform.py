@@ -73,7 +73,7 @@ def battery_maxima(p, orders):
     for n in orders:
         worst = 0.0
         for psi in battery:
-            r1, r2 = weak_residual(p, fan, psi, n)
+            r1, r2 = weak_residual(fan, psi, n)
             worst = max(worst, abs(r1), abs(r2))
         out.append(worst)
     return out
@@ -208,7 +208,7 @@ class TestExactness:
     def test_battery_equals_reference(self, p, quad_n):
         fan = solve(p)
         for psi in residual_battery(fan):
-            got = weak_residual(p, fan, psi, quad_n)
+            got = weak_residual(fan, psi, quad_n)
             assert got == reference_weak_residual(p, fan, psi, quad_n)
 
     def test_all_inside_pair_matches_reference_factors(self):
@@ -229,7 +229,7 @@ class TestExactness:
     def test_pinned_battery_equals_reference(self, p, quad_n):
         fan = solve(p)
         for psi in residual_battery(fan):
-            assert weak_residual(p, fan, psi, quad_n) == reference_weak_residual(p, fan, psi, quad_n)
+            assert weak_residual(fan, psi, quad_n) == reference_weak_residual(p, fan, psi, quad_n)
 
     def test_out_of_order_waves_equal_reference(self):
         # solve can leave S1.c an ulp above J.c; with the contact well left of
@@ -239,7 +239,7 @@ class TestExactness:
         early = contact._replace(path=replace(contact.path, c=shock.path.c - 0.3))
         skewed = replace(fan, waves=(shock, early))
         for psi in residual_battery(fan):
-            assert weak_residual(REGION2, skewed, psi, 64) == reference_weak_residual(
+            assert weak_residual(skewed, psi, 64) == reference_weak_residual(
                 REGION2, skewed, psi, 64
             )
 
@@ -253,15 +253,15 @@ class TestExactness:
             except ChapgasError:
                 continue
             for psi in battery:
-                assert weak_residual(p, fan, psi, 16) == reference_weak_residual(p, fan, psi, 16)
+                assert weak_residual(fan, psi, 16) == reference_weak_residual(p, fan, psi, 16)
 
     def test_sabotaged_delta_equals_reference(self):
         fan = solve(REGION3)
         bad = replace(fan, delta=replace(fan.delta, w0=fan.delta.w0 * 1.1))
         battery = residual_battery(fan)
-        got = [weak_residual(REGION3, bad, psi, 64) for psi in battery]
+        got = [weak_residual(bad, psi, 64) for psi in battery]
         assert got == [reference_weak_residual(REGION3, bad, psi, 64) for psi in battery]
-        assert got[0] != weak_residual(REGION3, fan, battery[0], 64)
+        assert got[0] != weak_residual(fan, battery[0], 64)
 
 
 def battery_reference(p, quad_n):
@@ -297,7 +297,7 @@ class TestWorkBuffers:
         for n in (64, 128, 64):
             for i in range(5):
                 for p, (fan, battery, ref) in zip((REGION3, REGION1), fans[n]):
-                    assert weak_residual(p, fan, battery[i], n) == ref[i]
+                    assert weak_residual(fan, battery[i], n) == ref[i]
 
     def test_keeps_the_last_two_orders(self):
         for n in (64, 128, 256, 128):
@@ -334,7 +334,7 @@ class TestWorkBuffers:
         monkeypatch.setattr(weakform, path, spy)
         for n in (16, 64, 128):
             del calls[:]
-            assert weak_residual(p, fan, psi, n) == reference_weak_residual(p, fan, psi, n)
+            assert weak_residual(fan, psi, n) == reference_weak_residual(p, fan, psi, n)
             assert (n, n) in calls  # the kernel took this path on a full strip
 
     def test_threads_equal_reference(self):
@@ -346,7 +346,7 @@ class TestWorkBuffers:
             fan, battery, ref = case
             try:
                 for _ in range(3):
-                    got = [weak_residual(p, fan, psi, n) for psi in battery]
+                    got = [weak_residual(fan, psi, n) for psi in battery]
                     if got != ref:
                         errors.append((p, n, got, ref))
             except Exception as exc:  # reported by the assertion below
@@ -372,13 +372,13 @@ class TestQuadOrderGuard:
         fan = solve(CONTACT)
         psi = TestFunction(x0=0.5, t0=1.0, rx=1.0, rt=0.5)
         with pytest.raises(UnsupportedQuadOrder):
-            weak_residual(CONTACT, fan, psi, bad)
+            weak_residual(fan, psi, bad)
 
     def test_bounds_accepted(self):
         fan = solve(CONTACT)
         psi = TestFunction(x0=0.5, t0=1.0, rx=1.0, rt=0.5)
-        weak_residual(CONTACT, fan, psi, 8)
-        weak_residual(CONTACT, fan, psi, 128)
+        weak_residual(fan, psi, 8)
+        weak_residual(fan, psi, 128)
 
 
 class TestResiduals:
@@ -386,7 +386,7 @@ class TestResiduals:
         p = make_problem(2.0, 0.5, 2.0, 0.5, a=0.5)
         fan = solve(p)
         psi = TestFunction(x0=0.3, t0=1.0, rx=1.5, rt=0.5)
-        r1, r2 = weak_residual(p, fan, psi, 64)
+        r1, r2 = weak_residual(fan, psi, 64)
         s = problem_scale(p)
         assert abs(r1) <= 1e-12 * s**2
         assert abs(r2) <= 1e-12 * s**3
@@ -406,23 +406,21 @@ class TestResiduals:
     def test_delta_fan_halving_order_gains_four_x(self):
         fan = solve(REGION3)
         psi = residual_battery(fan)[0]
-        r32 = max(map(abs, weak_residual(REGION3, fan, psi, 32)))
-        r64 = max(map(abs, weak_residual(REGION3, fan, psi, 64)))
+        r32 = max(map(abs, weak_residual(fan, psi, 32)))
+        r64 = max(map(abs, weak_residual(fan, psi, 64)))
         assert r64 <= r32 / 4.0
 
     def test_deterministic(self):
         fan = solve(REGION2)
         psi = residual_battery(fan)[2]
-        assert weak_residual(REGION2, fan, psi, 32) == weak_residual(
-            REGION2, fan, psi, 32
-        )
+        assert weak_residual(fan, psi, 32) == weak_residual(fan, psi, 32)
 
     def test_sabotaged_weight_keeps_momentum_residual_large(self):
         fan = solve(REGION3)
         bad_delta = DeltaShockWave(fan.delta.v_delta, fan.delta.w0 * 1.1, fan.delta.beta)
         bad = replace(fan, delta=bad_delta)
         psi = residual_battery(fan)[0]
-        r2_seq = [abs(weak_residual(REGION3, bad, psi, n)[1]) for n in (32, 64, 128)]
+        r2_seq = [abs(weak_residual(bad, psi, n)[1]) for n in (32, 64, 128)]
         assert all(r > 1e-3 for r in r2_seq)
         # the defect converges to the analytic violation, not to zero
         assert r2_seq[2] == pytest.approx(r2_seq[1], rel=1e-6)
