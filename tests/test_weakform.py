@@ -296,7 +296,7 @@ class TestWorkBuffers:
         fans = {n: [battery_reference(p, n) for p in (REGION3, REGION1)] for n in (64, 128)}
         for n in (64, 128, 64):
             for i in range(5):
-                for p, (fan, battery, ref) in zip((REGION3, REGION1), fans[n]):
+                for fan, battery, ref in fans[n]:
                     assert weak_residual(fan, battery[i], n) == ref[i]
 
     def test_keeps_the_last_two_orders(self):
