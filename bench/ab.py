@@ -20,7 +20,10 @@ BENCHMARK.json, whether the gain rule holds (wins in at least nine tenths
 of all pairs run, a median gap wider than the parent's interquartile range,
 and no more failed runs on the change's side than on the parent's), the same
 comparison for the held-out pair, and the traced per-layer metrics; also the
-host, Python and NumPy versions that the runs report.
+host, Python and NumPy versions that the runs report. A traced run that
+reports no per-layer metrics has its exit code and stderr tail recorded
+under ``errors``/``traced``, and the script then exits 1 after writing the
+file.
 
 A pair in which either side exited nonzero, reported ``correct: false`` or
 counted failed commands is left out of the medians, quartiles and wins, and
@@ -59,6 +62,8 @@ def bench_run(checkout: Path, workload: str, seed: int, seconds: float, trace: i
         out["error"] = proc.stderr[-2000:]
         return out
     out.update(json.loads(lines[-1]))
+    if not out.get("metrics"):
+        out["error"] = proc.stderr[-2000:]
     env = [ln for ln in lines if ln.startswith("env: ")]
     if env:
         out["env"] = json.loads(env[0][len("env: "):])
@@ -75,6 +80,13 @@ def faults(run: dict) -> list[str]:
     if run.get("failed"):
         out.append(f"failed {run['failed']}")
     return out
+
+
+def traced_failures(traced: dict) -> dict:
+    """{side: {"exit": code, "stderr": tail}} for each traced run that
+    reported no per-layer metrics."""
+    return {side: {"exit": run["exit"], "stderr": run.get("error", "")}
+            for side, run in traced.items() if not run.get("metrics")}
 
 
 def export(commit: str, dest: Path, root: Path) -> None:
@@ -134,6 +146,7 @@ def main(argv=None) -> int:
     record = {"base": base, "change": change, "pairs": args.pairs, "seconds": args.seconds,
               "seeds": list(range(args.seed, args.seed + args.pairs)),
               "held_out_seed": HELD_OUT_SEED, "workloads": {}}
+    missing_layers: list[str] = []
     scratch = Path(tempfile.mkdtemp(prefix="ab-"))
     parent = scratch / "parent"
     try:
@@ -150,6 +163,11 @@ def main(argv=None) -> int:
             held = {side: [rs.pop()] for side, rs in runs.items()}
             traced = {side: bench_run(parent if side == "parent" else root, workload, args.seed,
                                       args.seconds, 1) for side in ("parent", "change")}
+            untraced = traced_failures(traced)
+            for side, why in untraced.items():
+                print(f"{workload} traced {side}: no per-layer metrics, exit {why['exit']}\n"
+                      f"{why['stderr']}", file=sys.stderr, flush=True)
+                missing_layers.append(f"{workload} ({side})")
             record["workloads"][workload] = {
                 "end_to_end": {m["name"]: compare(m, runs["parent"], runs["change"])
                                for m in spec["end_to_end"]},
@@ -160,7 +178,9 @@ def main(argv=None) -> int:
                                              runs["change"] + held["change"])
                              if faults(p) or faults(c)],
                 "failed": {side: [r.get("failed") for r in rs] for side, rs in runs.items()},
-                "errors": {side: [r["error"] for r in rs if "error" in r] for side, rs in runs.items()},
+                "errors": {**{side: [r["error"] for r in rs if "error" in r]
+                                 for side, rs in runs.items()},
+                           "traced": untraced},
                 "per_layer": {side: {k: v["value"] for k, v in t.get("metrics", {}).items()}
                               for side, t in traced.items()},
             }
@@ -170,6 +190,9 @@ def main(argv=None) -> int:
     finally:
         shutil.rmtree(scratch)
     Path(args.out).write_text(json.dumps(record, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    if missing_layers:
+        print(f"{args.out}: no per-layer metrics for {', '.join(missing_layers)}", file=sys.stderr)
+        return 1
     return 0
 
 

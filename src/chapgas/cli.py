@@ -10,7 +10,11 @@ One flat JSON config file drives every subcommand:
 
 Output is deterministic: JSON keys are sorted, CSV floats are written with
 ``%.17g`` (17 significant digits, enough to round-trip any float64), and
-nothing depends on wall-clock time or RNG state. ``sample`` formats each
+nothing depends on wall-clock time or RNG state. JSON is written by a small
+recursive writer into one list of strings, with the json module's string
+escaper and ``float.__repr__``; its bytes are those of
+``json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)``, which
+with an indent runs a slower generator-based encoder. ``sample`` formats each
 distinct rho and u bit pattern of a time slice once and reuses its text on
 every row, which gives the same bytes as formatting row by row.
 Exit codes: 0 success, 2 bad config or invalid data, 3 a check failed.
@@ -68,10 +72,72 @@ def _emit(text: str, out: str | None) -> None:
             fh.write(text)
 
 
+_json_str = json.encoder.encode_basestring_ascii
+_float_repr = float.__repr__
+_int_repr = int.__repr__
+_isfinite = math.isfinite
+
+
+def _json_into(o, parts: list, newline: str) -> None:
+    """Append the JSON text of o to parts; newline is "\n" plus the
+    indentation of the line that o starts on. Types are tested in the order
+    json's own encoder tests them, and dict keys must be str."""
+    if isinstance(o, str):
+        parts.append(_json_str(o))
+    elif o is None:
+        parts.append("null")
+    elif o is True:
+        parts.append("true")
+    elif o is False:
+        parts.append("false")
+    elif isinstance(o, int):
+        parts.append(_int_repr(o))
+    elif isinstance(o, float):
+        # strict JSON: a nan or an infinity is an error, not a NaN or Infinity literal
+        if not _isfinite(o):
+            raise ValueError(f"Out of range float values are not JSON compliant: {o!r}")
+        parts.append(_float_repr(o))
+    elif isinstance(o, (list, tuple)):
+        if not o:
+            parts.append("[]")
+            return
+        inner = newline + "  "
+        lead = "[" + inner
+        for item in o:
+            parts.append(lead)
+            _json_into(item, parts, inner)
+            lead = "," + inner
+        parts.append(newline + "]")
+    elif isinstance(o, dict):
+        if not o:
+            parts.append("{}")
+            return
+        inner = newline + "  "
+        lead = "{" + inner
+        for key, value in sorted(o.items()):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {key.__class__.__name__}")
+            parts.append(lead)
+            parts.append(_json_str(key))
+            parts.append(": ")
+            _json_into(value, parts, inner)
+            lead = "," + inner
+        parts.append(newline + "}")
+    else:
+        raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+
+
+def _json_text(payload) -> str:
+    """json.dumps(payload, sort_keys=True, indent=2, allow_nan=False), byte
+    for byte, without the per-value generators json uses once indent is set."""
+    parts: list = []
+    _json_into(payload, parts, "\n")
+    return "".join(parts)
+
+
 def _emit_json(payload: dict, out: str | None) -> None:
-    # strict JSON: a nan or an infinity is an error, not a NaN or Infinity literal
     try:
-        text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
+        text = _json_text(payload)
     except ValueError as exc:
         raise DensityOutOfRange(f"output holds a non-finite number: {exc}") from exc
     _emit(text + "\n", out)

@@ -12,14 +12,16 @@ rho_l (A/(A - A0))**(1/alpha), concentrating finite mass; past A0 the delta
 shock's speed and weight converge to the pressureless (sticky-particle)
 values as A -> 0. For expansive data the star density vanishes like
 A**(1/alpha) and the solution opens the pressureless vacuum.
+
+limit_study reports each decay rate as the closed-form least-squares slope
+of log(error) against log(A) over the last four amplitudes with a positive
+error, the slope a degree-1 polynomial fit gives, to rounding.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .delta import _delta_params
 from .errors import CaseMismatch, DensityOutOfRange, RegionMismatch, ValidationError
@@ -43,12 +45,16 @@ def concentration_integrals(p: RiemannProblem, a: float, t: float):
     rho_l (u_l - u_r) t and rho_l (u_l - u_r) (u_r + beta t) t, the weight
     and momentum transported by the nascent delta shock.
     """
-    fan = solve(_with_amplitude(p, a))
+    return _concentration(solve(_with_amplitude(p, a)), t)
+
+
+def _concentration(fan, t: float):
+    """concentration_integrals of an already solved fan."""
     if fan.variant != "shock_contact":
         raise RegionMismatch("concentration integrals require a shock-contact fan")
     width_rate = fan.path("J").c - fan.path("S1").c
     mass = fan.star.rho * width_rate * t
-    momentum = mass * (p.right.v + p.params.beta * t)
+    momentum = mass * (fan.problem.right.v + fan.problem.params.beta * t)
     return mass, momentum
 
 
@@ -73,14 +79,24 @@ class LimitReport:
 
 
 def _fit_rate(a_values, errors, tail: int = 4):
-    """Log-log slope of errors against amplitudes over the sweep tail."""
+    """Log-log slope of errors against amplitudes over the sweep tail.
+
+    The least-squares slope sum((x - mx)(y - my)) / sum((x - mx)**2) of
+    y = log(error) on x = log(A), with the means taken first, over the last
+    `tail` pairs with A > 0 and error > 0; nan with fewer than two pairs
+    or where the amplitudes are too close for their logs to differ.
+    """
     pairs = [(a, e) for a, e in zip(a_values, errors) if e > 0.0 and a > 0.0]
     if len(pairs) < 2:
         return math.nan
     pairs = pairs[-tail:]
-    la = np.log([a for a, _ in pairs])
-    le = np.log([e for _, e in pairs])
-    return float(np.polyfit(la, le, 1)[0])
+    xs = [math.log(a) for a, _ in pairs]
+    ys = [math.log(e) for _, e in pairs]
+    mx = sum(xs) / len(xs)
+    my = sum(ys) / len(ys)
+    sxy = sum((x - mx) * (y - my) for x, y in zip(xs, ys))
+    sxx = sum((x - mx) ** 2 for x in xs)
+    return sxy / sxx if sxx > 0.0 else math.nan
 
 
 def limit_study(p: RiemannProblem, sweep=None) -> LimitReport:
@@ -161,7 +177,7 @@ def limit_study(p: RiemannProblem, sweep=None) -> LimitReport:
                 iii_v_err.append(v_err)
                 iii_w_err.append(w_err)
             else:
-                mass, momentum = concentration_integrals(p, a, 1.0)
+                mass, momentum = _concentration(fan, 1.0)
                 rows.append(
                     {
                         "A": a,

@@ -307,13 +307,17 @@ def evaluate(
     its running weight w(t) and velocity; loc_tol defaults to
     1e-9 * max(1, |x|) per point. Points strictly inside a vacuum segment
     are vacuum; all others are regular. Raises DensityOutOfRange when the
-    drift beta t, a constant segment's velocity or the delta's weight or
-    velocity at t leaves the float64 range.
+    drift beta t, a wave's position c t + beta t**2 / 2, a constant
+    segment's velocity or the delta's weight or velocity at t leaves the
+    float64 range.
     """
     if t <= 0.0:
         raise NegativeTime(f"evaluation requires t > 0, got t = {t}")
     bt = fan.problem.params.beta * t
-    values = [bt] + [seg.v + bt for seg in fan.states if seg is not None]
+    # positions as _profile computes them, checked here on Python floats,
+    # where an overflow gives inf without a NumPy warning
+    values = [bt] + [wave.path.position(t) for wave in fan.waves]
+    values += [seg.v + bt for seg in fan.states if seg is not None]
     weight = u_delta = None
     if fan.delta is not None:
         weight, u_delta = fan.delta.weight(t), fan.delta.u_delta(t)

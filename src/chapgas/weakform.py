@@ -184,7 +184,7 @@ def _strip_sums(ws: _Work, psi: TestFunction, rho, rho_u, mom, mom_u, beta_rho, 
     np.divide(s, psi.rx, out=s)
     # a monotone row has its extremes at its ends, so the two end columns
     # decide whether every |s| < 1
-    if np.all(np.abs(s[:, :: ws.n - 1]) < 1.0):
+    if (np.abs(s[:, :: ws.n - 1]) < 1.0).all():
         np.multiply(s, s, out=p)
         np.subtract(1.0, p, out=p)  # g = 1 - s^2
         np.exp(np.divide(-1.0, p, out=b), out=b)
@@ -274,14 +274,14 @@ def weak_residual(fan: WaveFan, psi: TestFunction, quad_n: int = 64):
 
         for k, (lo, hi) in enumerate(zip(rows[:-1], rows[1:])):
             width = hi - lo
-            if not np.any(width > 0.0):
+            if not (width > 0.0).any():
                 continue
             X = np.multiply(width[:, None], ws.frac, out=ws.x)
             np.add(lo[:, None], X, out=X)
             seg = fan.states[k]
             # X grows along each row, so its end columns decide whether every
             # node lies strictly between the strip's two paths
-            inside = ordered and np.all(lo < X[:, 0]) and np.all(X[:, -1] < hi)
+            inside = ordered and (lo < X[:, 0]).all() and (X[:, -1] < hi).all()
             if inside and seg is not None:
                 # rho ** e stays NumPy's power on an array: a Python float
                 # power differs from it in the last bit for some values

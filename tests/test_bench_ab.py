@@ -1,11 +1,12 @@
-"""bench/ab.py: pairs that a failed run belongs to are not compared."""
+"""bench/ab.py: pairs that a failed run belongs to are not compared, and a
+traced run without per-layer metrics fails the script."""
 
 import importlib.util
+import json
 from pathlib import Path
 
-_spec = importlib.util.spec_from_file_location(
-    "ab", Path(__file__).resolve().parents[1] / "bench" / "ab.py"
-)
+ROOT = Path(__file__).resolve().parents[1]
+_spec = importlib.util.spec_from_file_location("ab", ROOT / "bench" / "ab.py")
 ab = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(ab)
 
@@ -53,3 +54,32 @@ def test_change_may_not_fail_more_than_parent():
     # The same pair failing on the parent's side leaves the gain standing.
     parent[9], change[9] = run(100.0, 9, exit=1), run(200.0, 9)
     assert ab.compare(METRIC, parent, change)["gain"] is True
+
+
+def test_traced_run_without_metrics_fails_the_script(tmp_path, monkeypatch, capsys):
+    # The change's traced run crashes: its exit code and stderr land under
+    # errors/traced, and the script exits 1 after writing the file.
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    metrics = {m["name"]: {"value": 1.0, "unit": m["unit"]} for m in spec["end_to_end"]}
+
+    def bench_run(checkout, workload, seed, seconds, trace):
+        if trace and checkout.name != "parent":
+            return {"seed": seed, "exit": 1, "error": "ImportError: boom"}
+        layers = {"cli.self_ms": {"value": 0.5, "unit": "ms"}}
+        return {"seed": seed, "exit": 0, "correct": True, "failed": 0,
+                "metrics": layers if trace else metrics}
+
+    def git(*args, cwd):
+        if args[0] == "status":
+            return ""
+        return str(ROOT) if args[1] == "--show-toplevel" else "0" * 40
+
+    monkeypatch.setattr(ab, "bench_run", bench_run)
+    monkeypatch.setattr(ab, "export", lambda commit, dest, root: dest.mkdir())
+    monkeypatch.setattr(ab, "git", git)
+    out = tmp_path / "bench.json"
+    assert ab.main(["--out", str(out), "--pairs", "1", "--workloads", "solve_limit"]) == 1
+    got = json.loads(out.read_text(encoding="utf-8"))["workloads"]["solve_limit"]
+    assert got["errors"]["traced"] == {"change": {"exit": 1, "stderr": "ImportError: boom"}}
+    assert got["per_layer"] == {"parent": {"cli.self_ms": 0.5}, "change": {}}
+    assert "no per-layer metrics for solve_limit (change)" in capsys.readouterr().err

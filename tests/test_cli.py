@@ -8,6 +8,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from chapgas import DensityOutOfRange, cli
 from chapgas.cli import main
@@ -684,13 +686,31 @@ class TestNonFiniteOutput:
                 {"rho_l": 1, "u_l": 1, "rho_r": 1, "u_r": -1, "A": 0.25,
                  "x_min": -1.25e307, "x_max": 0, "x_count": 2, "times": [1e308]},
             ),
+            (
+                "sample",
+                {"rho_l": 1, "u_l": 1, "rho_r": 2, "u_r": 0.8, "A": 0.25, "beta": 1,
+                 "x_min": -2, "x_max": 4, "x_count": 3, "times": [1e160]},
+            ),
+            (
+                "sample",
+                {"rho_l": 1, "u_l": -3, "rho_r": 1, "u_r": 3, "A": 0.25,
+                 "x_min": -2, "x_max": 4, "x_count": 3, "times": [1e308]},
+            ),
+            (
+                "sample",
+                {"rho_l": 1, "u_l": 3, "rho_r": 2, "u_r": 2.5, "A": 3,
+                 "x_min": -2, "x_max": 4, "x_count": 3, "times": [1e308]},
+            ),
             ("limit", {"rho_l": 1e200, "u_l": 1e200, "rho_r": 1, "u_r": 0, "A": 0}),
             ("limit", {"rho_l": 1, "u_l": 1, "rho_r": 1, "u_r": -1, "A": 0, "beta": 1e308}),
         ],
-        ids=["sample-drift", "sample-delta-weight", "limit-rows", "limit-momentum-target"],
+        ids=["sample-drift", "sample-delta-weight", "sample-path-offset",
+             "sample-rarefaction-position", "sample-shock-position", "limit-rows",
+             "limit-momentum-target"],
     )
     def test_overflow_exits_2_with_empty_stdout(self, tmp_path, capsys, command, payload):
-        # each of these used to exit 0 writing inf, NaN or Infinity
+        # each of these used to exit 0 writing inf, NaN or Infinity, or (the
+        # wave positions past the float range) a NumPy overflow warning
         cfg = write_config(tmp_path, payload)
         assert main([command, "--config", cfg]) == 2
         captured = capsys.readouterr()
@@ -698,7 +718,42 @@ class TestNonFiniteOutput:
         assert "DensityOutOfRange" in captured.err
 
     def test_json_writer_refuses_non_finite_numbers(self, capsys):
-        for value in (math.nan, math.inf, -math.inf):
-            with pytest.raises(DensityOutOfRange):
+        for value in (math.nan, math.inf, -math.inf, np.float64(math.nan)):
+            with pytest.raises(ValueError) as want:
+                json.dumps({"value": [value]}, sort_keys=True, indent=2, allow_nan=False)
+            with pytest.raises(ValueError) as got:
+                cli._json_text({"value": [value]})
+            assert str(got.value) == str(want.value)
+            with pytest.raises(DensityOutOfRange, match="not JSON compliant"):
                 cli._emit_json({"value": value}, None)
         assert capsys.readouterr().out == ""
+
+
+_JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(allow_nan=False, allow_infinity=False).map(np.float64),
+    st.text(),
+)
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+class TestJsonWriter:
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(_JSON_VALUES)
+    @example({"b": [-0.0, 5e-324, 2.2250738585072014e-308, np.float64(0.1)], "a": ((), {}, [])})
+    @example({"\u00e9\u2028": 'tab\t "quote" \\ \x00 \U0001f600', "": {"z": {"y": [[]]}}})
+    @example([True, False, None, 0, -(2**70), 1e300, -1.5])
+    def test_matches_json_dumps_byte_for_byte(self, value):
+        want = json.dumps(value, sort_keys=True, indent=2, allow_nan=False)
+        assert cli._json_text(value) == want

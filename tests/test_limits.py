@@ -17,6 +17,8 @@ from chapgas import (
     solve,
     thresholds,
 )
+from chapgas import limits
+from chapgas.limits import _fit_rate
 from helpers import make_problem
 
 COMPRESSIVE = make_problem(1.0, 1.0, 1.0, 0.5, a=0.6)
@@ -159,6 +161,18 @@ class TestLimitStudy:
             assert row["v_delta_err"] == pytest.approx(row["A"] / 3.0, rel=1e-12)
             assert row["w0_err"] == pytest.approx(row["A"], rel=1e-12)
 
+    def test_region_ii_rows_solve_each_amplitude_once(self, monkeypatch):
+        sweep = [2.5, 2.25, 2.125, 1.0, 0.5]
+        calls = []
+        monkeypatch.setattr(limits, "solve", lambda p: calls.append(p) or solve(p))
+        rep = limit_study(PRESSURELESS_REF, sweep=sweep)
+        assert len(calls) == len(sweep)
+        monkeypatch.undo()
+        for row in rep.rows[:3]:
+            mass, momentum = concentration_integrals(PRESSURELESS_REF, row["A"], 1.0)
+            assert row["mass_err"] == abs(mass - rep.targets["mass"])
+            assert row["momentum_err"] == abs(momentum - rep.targets["momentum"])
+
     def test_rejects_bad_sweeps(self):
         with pytest.raises(ValidationError):
             limit_study(PRESSURELESS_REF, sweep=[])
@@ -168,3 +182,30 @@ class TestLimitStudy:
             limit_study(PRESSURELESS_REF, sweep=[0.5, 1.0])
         with pytest.raises(ValidationError):
             limit_study(PRESSURELESS_REF, sweep=[1.0, 1.0])
+
+
+class TestFitRate:
+    @pytest.mark.parametrize("n", [2, 3, 4, 6])
+    def test_matches_polyfit_on_the_tail(self, n):
+        rng = np.random.default_rng(1400 + n)
+        for _ in range(50):
+            a = np.sort(rng.uniform(1e-6, 10.0, size=n))[::-1]
+            rate = rng.uniform(0.2, 5.0)
+            e = rng.uniform(1e-3, 1e3) * a**rate * np.exp(rng.normal(0.0, 0.1, size=n))
+            tail = slice(-4, None)
+            want = np.polyfit(np.log(a[tail]), np.log(e[tail]), 1)[0]
+            assert _fit_rate(a.tolist(), e.tolist()) == pytest.approx(want, rel=1e-12, abs=0)
+
+    def test_skips_nonpositive_errors(self):
+        a, e = [4.0, 2.0, 1.0, 0.5], [16.0, 0.0, 1.0, 0.25]
+        assert _fit_rate(a, e) == pytest.approx(2.0, rel=1e-15)
+
+    def test_nan_below_two_points(self):
+        assert np.isnan(_fit_rate([], []))
+        assert np.isnan(_fit_rate([1.0], [0.5]))
+        assert np.isnan(_fit_rate([1.0, 0.5], [0.5, 0.0]))
+
+    def test_nan_where_the_logs_coincide(self):
+        a = 1e300
+        assert np.log(a) == np.log(np.nextafter(a, 0.0))
+        assert np.isnan(_fit_rate([a, float(np.nextafter(a, 0.0))], [1.0, 2.0]))
