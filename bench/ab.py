@@ -11,15 +11,18 @@ afterwards. For every workload in BENCHMARK.json (or those named by
 ``--workloads``), N pairs of ``perfbench/run.py`` runs follow, one seed per
 pair from ``--seed`` upwards, with the side that runs first alternating, and
 one more pair on the held-out seed ``HELD_OUT_SEED``, which is fixed here so
-that it cannot be picked to suit a claim. Then each side has one traced run
-on ``--seed``. The output file holds, per workload
-and end-to-end metric, each side's runs, median and quartiles, the change's
-wins out of the pairs (ties count for neither), whether the change's median
-is worse than the parent's by more than the metric's bound in
-BENCHMARK.json, whether the gain rule holds (wins in at least nine tenths
-of all pairs run, a median gap wider than the parent's interquartile range,
-and no more failed runs on the change's side than on the parent's), the same
-comparison for the held-out pair, and the traced per-layer metrics; also the
+that it cannot be picked to suit a claim. Then each side has ``TRACED_RUNS``
+traced runs on ``--seed``, in pairs whose first side alternates as well, since
+one traced run can move by a quarter on code that did not change. The output
+file holds, per workload and end-to-end metric, each side's runs, median and
+quartiles, the change's wins out of the pairs (ties count for neither),
+whether the change's median is worse than the parent's by more than the
+metric's bound in BENCHMARK.json, whether the gain rule holds (wins in at
+least nine tenths of all pairs run, a median gap wider than the parent's
+interquartile range, and no more failed runs on the change's side than on the
+parent's), the same comparison for the held-out pair, and the traced
+per-layer metrics: each traced run's under ``per_layer_runs`` and, under
+``per_layer``, each metric's median over the runs that report it; also the
 host, Python and NumPy versions that the runs report. A traced run that
 reports no per-layer metrics has its exit code and stderr tail recorded
 under ``errors``/``traced``, and the script then exits 1 after writing the
@@ -43,6 +46,7 @@ import tempfile
 from pathlib import Path
 
 HELD_OUT_SEED = 2718
+TRACED_RUNS = 3
 
 
 def git(*args: str, cwd: Path) -> str:
@@ -83,10 +87,26 @@ def faults(run: dict) -> list[str]:
 
 
 def traced_failures(traced: dict) -> dict:
-    """{side: {"exit": code, "stderr": tail}} for each traced run that
-    reported no per-layer metrics."""
-    return {side: {"exit": run["exit"], "stderr": run.get("error", "")}
-            for side, run in traced.items() if not run.get("metrics")}
+    """{side: [{"exit": code, "stderr": tail}, ...]} for each side with traced
+    runs that reported no per-layer metrics."""
+    out = {side: [{"exit": run["exit"], "stderr": run.get("error", "")}
+                  for run in runs if not run.get("metrics")]
+           for side, runs in traced.items()}
+    return {side: fails for side, fails in out.items() if fails}
+
+
+def layer_values(run: dict) -> dict:
+    """{metric: value} of one traced run's per-layer metrics."""
+    return {k: v["value"] for k, v in run.get("metrics", {}).items()}
+
+
+def layer_medians(runs: list[dict]) -> dict:
+    """Each per-layer metric's median over the traced runs that report it."""
+    values: dict = {}
+    for run in runs:
+        for k, v in layer_values(run).items():
+            values.setdefault(k, []).append(v)
+    return {k: statistics.median(vs) for k, vs in sorted(values.items())}
 
 
 def export(commit: str, dest: Path, root: Path) -> None:
@@ -161,12 +181,16 @@ def main(argv=None) -> int:
                     print(f"{workload} seed {seed} {side}: "
                           + json.dumps(run.get("metrics", run.get("error"))), flush=True)
             held = {side: [rs.pop()] for side, rs in runs.items()}
-            traced = {side: bench_run(parent if side == "parent" else root, workload, args.seed,
-                                      args.seconds, 1) for side in ("parent", "change")}
+            traced = {"parent": [], "change": []}
+            for i in range(TRACED_RUNS):
+                for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
+                    traced[side].append(bench_run(parent if side == "parent" else root,
+                                                  workload, args.seed, args.seconds, 1))
             untraced = traced_failures(traced)
-            for side, why in untraced.items():
-                print(f"{workload} traced {side}: no per-layer metrics, exit {why['exit']}\n"
-                      f"{why['stderr']}", file=sys.stderr, flush=True)
+            for side, fails in untraced.items():
+                for why in fails:
+                    print(f"{workload} traced {side}: no per-layer metrics, exit {why['exit']}\n"
+                          f"{why['stderr']}", file=sys.stderr, flush=True)
                 missing_layers.append(f"{workload} ({side})")
             record["workloads"][workload] = {
                 "end_to_end": {m["name"]: compare(m, runs["parent"], runs["change"])
@@ -181,8 +205,9 @@ def main(argv=None) -> int:
                 "errors": {**{side: [r["error"] for r in rs if "error" in r]
                                  for side, rs in runs.items()},
                            "traced": untraced},
-                "per_layer": {side: {k: v["value"] for k, v in t.get("metrics", {}).items()}
-                              for side, t in traced.items()},
+                "per_layer": {side: layer_medians(rs) for side, rs in traced.items()},
+                "per_layer_runs": {side: [layer_values(r) for r in rs]
+                                   for side, rs in traced.items()},
             }
             envs = [r["env"] for rs in runs.values() for r in rs if "env" in r]
             if envs:

@@ -41,7 +41,7 @@ from .fv import (
     wave_offsets,
 )
 from .limits import default_sweep, limit_study
-from .states import GasParams, PrimState, RiemannProblem, classify_region, pressureless_case
+from .states import GasParams, PrimState, RiemannProblem, pressureless_case
 from .verify import checks_pass, fan_checks
 from .waves import SampleKind, evaluate, solve
 
@@ -229,7 +229,7 @@ def cmd_solve(cfg: dict, out: str | None) -> int:
         "problem": _problem_echo(p),
         "variant": fan.variant,
         "pressureless_case": pressureless_case(p),
-        "region": classify_region(p).value if p.params.A > 0.0 else None,
+        "region": p.region.value if p.params.A > 0.0 else None,
         "waves": [
             {"label": wave.label, "c": wave.path.c, "beta": wave.path.beta}
             for wave in fan.waves

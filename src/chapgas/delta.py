@@ -25,7 +25,6 @@ from .states import (
     ParabolicPath,
     Region,
     RiemannProblem,
-    classify_region,
     problem_scale,
 )
 
@@ -105,10 +104,10 @@ def _delta_params(p: RiemannProblem):
 
 
 def make_delta_wave(p: RiemannProblem) -> DeltaShockWave:
-    """The delta shock of region III data, or of data on the S_delta line."""
-    region = classify_region(p)
-    if region not in (Region.III, Region.OnSdelta):
-        raise RegionMismatch(f"delta shock requires region III data, got {region.value}")
+    """The delta shock of data that p.region puts in region III or on the
+    S_delta line (any compressive data at A = 0); else RegionMismatch."""
+    if p.region not in (Region.III, Region.OnSdelta):
+        raise RegionMismatch(f"delta shock requires region III data, got {p.region.value}")
     v_delta, w0 = _delta_params(p)
     return DeltaShockWave(v_delta=v_delta, w0=w0, beta=p.params.beta)
 

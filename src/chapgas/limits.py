@@ -23,15 +23,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .delta import _delta_params
+from .delta import make_delta_wave
 from .errors import CaseMismatch, DensityOutOfRange, RegionMismatch, ValidationError
-from .states import GasParams, Region, RiemannProblem, classify_region, pressureless_case
+from .states import GasParams, RiemannProblem, pressureless_case
 from .waves import solve
 
 
 def thresholds(p: RiemannProblem):
     """Amplitudes (A0, A1) separating the compressive regimes."""
-    if not p.left.v > p.right.v:
+    if pressureless_case(p) != "compression":
         raise CaseMismatch("thresholds are defined for compressive data u_l > u_r")
     base = p.left.rho ** p.params.alpha
     return base * (p.left.v - p.right.v), base * p.left.v
@@ -60,7 +60,7 @@ def _concentration(fan, t: float):
 
 def default_sweep(p: RiemannProblem, n: int = 12):
     """Geometric amplitude sweep, halving from just below A0 (or from 1)."""
-    if p.left.v > p.right.v:
+    if pressureless_case(p) == "compression":
         start = 0.9 * thresholds(p)[0]
     else:
         start = 1.0
@@ -130,7 +130,7 @@ def limit_study(p: RiemannProblem, sweep=None) -> LimitReport:
             rows.append(
                 {
                     "A": a,
-                    "region": Region.I.value,
+                    "region": fan.problem.region.value,
                     "rho_star": fan.star.rho,
                     "head_gap": abs(fan.path("R1.head").c - u_l),
                 }
@@ -142,53 +142,47 @@ def limit_study(p: RiemannProblem, sweep=None) -> LimitReport:
         for a in a_values:
             fan = solve(_with_amplitude(p, a))
             rows.append(
-                {"A": a, "region": Region.OnJ.value, "contact_speed": fan.path("J").c}
+                {"A": a, "region": fan.problem.region.value, "contact_speed": fan.path("J").c}
             )
 
     else:
-        p0 = _with_amplitude(p, 0.0)
-        v_delta0, w00 = _delta_params(p0)
+        # compressive data are region III at A = 0: the sticky-particle delta
+        delta0 = make_delta_wave(_with_amplitude(p, 0.0))
         targets = {
-            "v_delta": v_delta0,
-            "w0": w00,
+            "v_delta": delta0.v_delta,
+            "w0": delta0.w0,
             "mass": p.left.rho * (u_l - u_r),
             "momentum": p.left.rho * (u_l - u_r) * (u_r + p.params.beta),
             "A0": thresholds(p)[0],
         }
-        iii_a, iii_v_err, iii_w_err = [], [], []
         for a in a_values:
-            prob = _with_amplitude(p, a)
-            region = classify_region(prob)
-            fan = solve(prob)
+            fan = solve(_with_amplitude(p, a))
             if fan.delta is not None:
-                v_err = abs(fan.delta.v_delta - v_delta0)
-                w_err = abs(fan.delta.w0 - w00)
                 rows.append(
                     {
                         "A": a,
-                        "region": region.value,
+                        "region": fan.problem.region.value,
                         "v_delta": fan.delta.v_delta,
                         "w0": fan.delta.w0,
-                        "v_delta_err": v_err,
-                        "w0_err": w_err,
+                        "v_delta_err": abs(fan.delta.v_delta - delta0.v_delta),
+                        "w0_err": abs(fan.delta.w0 - delta0.w0),
                     }
                 )
-                iii_a.append(a)
-                iii_v_err.append(v_err)
-                iii_w_err.append(w_err)
             else:
                 mass, momentum = _concentration(fan, 1.0)
                 rows.append(
                     {
                         "A": a,
-                        "region": region.value,
+                        "region": fan.problem.region.value,
                         "rho_star": fan.star.rho,
                         "mass_err": abs(mass - targets["mass"]),
                         "momentum_err": abs(momentum - targets["momentum"]),
                     }
                 )
         # rows are ordered by decreasing A, so the tail is the small-A end
-        fits = {"v_delta_err": (iii_a, iii_v_err), "w0_err": (iii_a, iii_w_err)}
+        iii = [r for r in rows if "w0" in r]
+        a_iii = [r["A"] for r in iii]
+        fits = {name: (a_iii, [r[name] for r in iii]) for name in ("v_delta_err", "w0_err")}
 
     numbers = [v for row in rows for v in row.values() if not isinstance(v, str)]
     if not all(map(math.isfinite, numbers + list(targets.values()))):

@@ -17,7 +17,7 @@ trajectories and reported velocities see beta.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 from .errors import (
@@ -62,17 +62,37 @@ class PrimState:
     v: float
 
 
+class Region(Enum):
+    """Position of the right state in the (rho, v) phase plane.
+
+    Relative to the curves through the left state: I is above the contact
+    line v = u_l, II is between the contact line and the line
+    v = u_l - A/rho_l**alpha, III is at or below that lower line. The two
+    boundary tags mark exact equality; OnJ takes priority at u_r == u_l.
+    """
+
+    I = "I"
+    II = "II"
+    III = "III"
+    OnJ = "OnJ"
+    OnSdelta = "OnSdelta"
+
+
 @dataclass(frozen=True)
 class RiemannProblem:
     """Two constant states separated at x = 0 at time zero.
 
     Construction validates the data, raising a ValidationError subclass if
-    they are unusable, so every RiemannProblem in existence is usable.
+    they are unusable, so every RiemannProblem in existence is usable. It
+    then stores the right state's phase-plane region as region, which every
+    solver reads. That field is derived: no constructor argument, not in
+    repr, equality or hash, and dataclasses.replace recomputes it.
     """
 
     left: PrimState
     right: PrimState
     params: GasParams
+    region: Region = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         g = self.params
@@ -87,6 +107,7 @@ class RiemannProblem:
             _require_finite(s.v, f"{name}.v")
             if s.rho <= 0.0:
                 raise NonPositiveDensity(f"{name}.rho must be > 0, got {s.rho!r}")
+        object.__setattr__(self, "region", _classify(self))
 
 
 @dataclass(frozen=True)
@@ -105,22 +126,6 @@ class ParabolicPath:
 
     def speed(self, t: float):
         return self.c + self.beta * t
-
-
-class Region(Enum):
-    """Position of the right state in the (rho, v) phase plane.
-
-    Relative to the curves through the left state: I is above the contact
-    line v = u_l, II is between the contact line and the line
-    v = u_l - A/rho_l**alpha, III is at or below that lower line. The two
-    boundary tags mark exact equality; OnJ takes priority at u_r == u_l.
-    """
-
-    I = "I"
-    II = "II"
-    III = "III"
-    OnJ = "OnJ"
-    OnSdelta = "OnSdelta"
 
 
 def _require_finite(value: float, name: str) -> None:
@@ -159,21 +164,20 @@ def riemann_invariants(state: PrimState, g: GasParams):
     return state.v - g.chap(state.rho), state.v
 
 
+_CASES = {Region.I: "expansion", Region.OnJ: "contact"}
+
+
 def pressureless_case(p: RiemannProblem) -> str:
     """Ordering of the data velocities: 'expansion', 'contact' or 'compression'.
 
-    This is the pressureless limit of the phase plane: regions I, OnJ and
-    the compressive rest (II, OnSdelta, III) map to the three cases, and at
-    A = 0 classify_region gives the same answer.
+    This is the pressureless limit of the phase plane, read off p.region:
+    regions I, OnJ and the compressive rest (II, OnSdelta, III) map to the
+    three cases, and at A = 0 the region is already OnJ, I or III.
     """
-    if p.left.v < p.right.v:
-        return "expansion"
-    if p.left.v == p.right.v:
-        return "contact"
-    return "compression"
+    return _CASES.get(p.region, "compression")
 
 
-def classify_region(p: RiemannProblem) -> Region:
+def _classify(p: RiemannProblem) -> Region:
     """Locate the right state in the phase plane cut by the left state's curves.
 
     Comparisons are exact; boundary data land on the boundary tags. Every

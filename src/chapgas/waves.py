@@ -33,7 +33,6 @@ from .states import (
     PrimState,
     Region,
     RiemannProblem,
-    classify_region,
 )
 
 
@@ -101,17 +100,17 @@ def intermediate_state(p: RiemannProblem) -> PrimState:
 
     Solves v* - A/rho***alpha = w_l with v* = u_r. Needs A > 0 (raises
     PressurelessNotApplicable at A = 0) and is defined for regions I and II
-    (and degenerately on the contact boundary); compressive region III data
-    have no classical intermediate state. Raises DensityOutOfRange when rho*
-    leaves the float64 range, which includes region-II data so close to the
-    S_delta line that A/rho***alpha rounds to zero.
+    (and degenerately on the contact boundary), as p.region tells; region III
+    data have no classical intermediate state (RegionMismatch). Raises
+    DensityOutOfRange when rho* leaves the float64 range, which includes
+    region-II data so close to the S_delta line that A/rho***alpha rounds to
+    zero.
     """
     g = p.params
     if g.pressureless:
         raise PressurelessNotApplicable("the intermediate state requires A > 0")
-    region = classify_region(p)
-    if region in (Region.III, Region.OnSdelta):
-        raise RegionMismatch(f"no intermediate state in region {region.value}")
+    if p.region in (Region.III, Region.OnSdelta):
+        raise RegionMismatch(f"no intermediate state in region {p.region.value}")
     # chap(rho_star) must equal u_r - u_l + chap(rho_l), positive here in
     # exact arithmetic; in floats it can round to 0, and rho_star is then huge
     gap = p.right.v - p.left.v + g.chap(p.left.rho)
@@ -156,24 +155,23 @@ def rarefaction_state(xi: float, t: float, left: PrimState, g: GasParams) -> Pri
 def solve(p: RiemannProblem) -> WaveFan:
     """Construct the exact wave fan for the Riemann problem.
 
-    One classify_region dispatch covers every A >= 0. At A = 0 region II is
-    empty, and region I opens a vacuum between two contacts where A > 0
-    opens a rarefaction.
+    One dispatch on the stored p.region covers every A >= 0. At A = 0
+    region II is empty, and region I opens a vacuum between two contacts
+    where A > 0 opens a rarefaction.
     """
     g = p.params
     beta = g.beta
     u_l, u_r = p.left.v, p.right.v
-    region = classify_region(p)
-    if region is Region.OnJ:
+    if p.region is Region.OnJ:
         wave = Wave("J", "contact", ParabolicPath(u_l, beta))
         return WaveFan(p, (wave,), (p.left, p.right))
-    if region is Region.I and g.pressureless:
+    if p.region is Region.I and g.pressureless:
         waves = (
             Wave("J1", "contact", ParabolicPath(u_l, beta)),
             Wave("J2", "contact", ParabolicPath(u_r, beta)),
         )
         return WaveFan(p, waves, (p.left, None, p.right))
-    if region is Region.I:
+    if p.region is Region.I:
         star = intermediate_state(p)
         head = u_l - g.alpha * g.chap(p.left.rho)
         tail = star.v - g.alpha * g.chap(star.rho)
@@ -183,7 +181,7 @@ def solve(p: RiemannProblem) -> WaveFan:
             Wave("J", "contact", ParabolicPath(u_r, beta)),
         )
         return WaveFan(p, waves, (p.left, None, star, p.right))
-    if region is Region.II:
+    if p.region is Region.II:
         star = intermediate_state(p)
         shock = (star.rho * star.v - p.left.rho * u_l) / (star.rho - p.left.rho)
         if not math.isfinite(shock):

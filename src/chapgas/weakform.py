@@ -15,11 +15,12 @@ sees a smooth integrand.
 
 The bump factors of psi are evaluated once per strip, each pair (b, b')
 with one exp: the t factors once per time panel on its n nodes, the x
-factors once on the strip's n x n grid; psi, psi_x and psi_t are their
-broadcast products. A pair whose every argument lies inside the support is
-taken on the whole array; otherwise only the inside entries are computed.
-The nodes of a strip row are monotone across it, so the two end columns
-of the grid decide whether every x argument lies inside.
+factors once on the strip's n x n grid and on a delta's n trajectory
+points; psi, psi_x and psi_t are their broadcast products. A pair whose
+every argument lies inside the support is taken on the whole array;
+otherwise only the inside entries are computed. The nodes of a strip row
+are monotone across it, so the two end columns of the grid decide whether
+every x argument lies inside.
 
 Each strip lies between two adjacent wave paths, so strip k is segment
 fan.states[k]. When the waves are in order and every node lies strictly
@@ -306,11 +307,12 @@ def weak_residual(fan: WaveFan, psi: TestFunction, quad_n: int = 64):
             xt = d.position(tj)
             wt = d.weight(tj)
             ud = d.u_delta(tj)
-            psi_t = psi.dt(xt, tj)
-            psi_x = psi.dx(xt, tj)
-            along = psi_t + ud * psi_x
+            # psi.dt, psi.dx and psi.value on the trajectory, from one x-bump
+            # pair and the panel's t factors
+            bx, dbx = psi.x_factors(xt)
+            along = bx * dbt_rt[:, 0] + ud * (dbx / psi.rx * bt[:, 0])
             r1 += float(np.sum(wj * wt * along))
-            r2 += float(np.sum(wj * (wt * ud * along + g.beta * wt * psi.value(xt, tj))))
+            r2 += float(np.sum(wj * (wt * ud * along + g.beta * wt * (bx * bt[:, 0]))))
 
     return r1, r2
 

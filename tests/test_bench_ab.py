@@ -1,5 +1,6 @@
-"""bench/ab.py: pairs that a failed run belongs to are not compared, and a
-traced run without per-layer metrics fails the script."""
+"""bench/ab.py: pairs that a failed run belongs to are not compared, a
+traced run without per-layer metrics fails the script, and the per-layer
+figures are medians of several alternating traced runs."""
 
 import importlib.util
 import json
@@ -56,30 +57,69 @@ def test_change_may_not_fail_more_than_parent():
     assert ab.compare(METRIC, parent, change)["gain"] is True
 
 
+SPEC = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+END_TO_END = {m["name"]: {"value": 1.0, "unit": m["unit"]} for m in SPEC["end_to_end"]}
+
+
+def fake_git(*args, cwd):
+    if args[0] == "status":
+        return ""
+    return str(ROOT) if args[1] == "--show-toplevel" else "0" * 40
+
+
 def test_traced_run_without_metrics_fails_the_script(tmp_path, monkeypatch, capsys):
-    # The change's traced run crashes: its exit code and stderr land under
+    # The change's traced runs crash: their exit codes and stderr land under
     # errors/traced, and the script exits 1 after writing the file.
-    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    metrics = {m["name"]: {"value": 1.0, "unit": m["unit"]} for m in spec["end_to_end"]}
 
     def bench_run(checkout, workload, seed, seconds, trace):
         if trace and checkout.name != "parent":
             return {"seed": seed, "exit": 1, "error": "ImportError: boom"}
         layers = {"cli.self_ms": {"value": 0.5, "unit": "ms"}}
         return {"seed": seed, "exit": 0, "correct": True, "failed": 0,
-                "metrics": layers if trace else metrics}
-
-    def git(*args, cwd):
-        if args[0] == "status":
-            return ""
-        return str(ROOT) if args[1] == "--show-toplevel" else "0" * 40
+                "metrics": layers if trace else END_TO_END}
 
     monkeypatch.setattr(ab, "bench_run", bench_run)
     monkeypatch.setattr(ab, "export", lambda commit, dest, root: dest.mkdir())
-    monkeypatch.setattr(ab, "git", git)
+    monkeypatch.setattr(ab, "git", fake_git)
     out = tmp_path / "bench.json"
     assert ab.main(["--out", str(out), "--pairs", "1", "--workloads", "solve_limit"]) == 1
     got = json.loads(out.read_text(encoding="utf-8"))["workloads"]["solve_limit"]
-    assert got["errors"]["traced"] == {"change": {"exit": 1, "stderr": "ImportError: boom"}}
+    crash = {"exit": 1, "stderr": "ImportError: boom"}
+    assert got["errors"]["traced"] == {"change": [crash] * ab.TRACED_RUNS}
     assert got["per_layer"] == {"parent": {"cli.self_ms": 0.5}, "change": {}}
     assert "no per-layer metrics for solve_limit (change)" in capsys.readouterr().err
+
+
+def test_per_layer_figures_are_medians_of_alternating_traced_runs(tmp_path, monkeypatch):
+    # Each traced run reports a different figure; the record keeps every run
+    # and each side's median, and the first side of each traced pair alternates.
+    assert ab.TRACED_RUNS == 3
+    order = []
+    figures = {"parent": iter([20.0, 25.0, 19.0]), "change": iter([30.0, 18.0, 21.0])}
+
+    def bench_run(checkout, workload, seed, seconds, trace):
+        if not trace:
+            return {"seed": seed, "exit": 0, "correct": True, "failed": 0, "metrics": END_TO_END}
+        side = "parent" if checkout.name == "parent" else "change"
+        order.append(side)
+        layers = {"fv.run.ms": {"value": next(figures[side]), "unit": "ms"}}
+        if side == "change" and len(order) == 2:
+            # a metric only one run reports is the median of that one run
+            layers["fv.step.calls"] = {"value": 7.0, "unit": "count"}
+        return {"seed": seed, "exit": 0, "correct": True, "failed": 0, "metrics": layers}
+
+    monkeypatch.setattr(ab, "bench_run", bench_run)
+    monkeypatch.setattr(ab, "export", lambda commit, dest, root: dest.mkdir())
+    monkeypatch.setattr(ab, "git", fake_git)
+    out = tmp_path / "bench.json"
+    assert ab.main(["--out", str(out), "--pairs", "1", "--workloads", "oracle_fv"]) == 0
+    got = json.loads(out.read_text(encoding="utf-8"))["workloads"]["oracle_fv"]
+    assert order == ["parent", "change", "change", "parent", "parent", "change"]
+    assert got["per_layer_runs"] == {
+        "parent": [{"fv.run.ms": 20.0}, {"fv.run.ms": 25.0}, {"fv.run.ms": 19.0}],
+        "change": [{"fv.run.ms": 30.0, "fv.step.calls": 7.0}, {"fv.run.ms": 18.0},
+                   {"fv.run.ms": 21.0}],
+    }
+    assert got["per_layer"] == {"parent": {"fv.run.ms": 20.0},
+                                "change": {"fv.run.ms": 21.0, "fv.step.calls": 7.0}}
+    assert got["errors"]["traced"] == {}

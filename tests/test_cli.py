@@ -5,13 +5,15 @@ import math
 import os
 import subprocess
 import sys
+from collections import defaultdict
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from chapgas import DensityOutOfRange, cli
+from chapgas import DensityOutOfRange, RiemannProblem, cli, states
 from chapgas.cli import main
 from chapgas.waves import SampleKind, evaluate, solve
 from helpers import loads_strict, make_problem
@@ -757,3 +759,47 @@ class TestJsonWriter:
     def test_matches_json_dumps_byte_for_byte(self, value):
         want = json.dumps(value, sort_keys=True, indent=2, allow_nan=False)
         assert cli._json_text(value) == want
+
+
+REFS = Path(__file__).resolve().parents[1] / "perfbench" / "refs"
+
+
+class TestRegionDecidedOnce:
+    """Every command places its data in the phase plane once per
+    RiemannProblem it builds, when the problem is built."""
+
+    def test_one_classification_per_problem(self, tmp_path, monkeypatch, capsys):
+        counts = {"built": 0, "classified": 0}
+        classify, post_init = states._classify, RiemannProblem.__post_init__
+
+        def counting_classify(p):
+            counts["classified"] += 1
+            return classify(p)
+
+        def counting_post_init(p):
+            counts["built"] += 1
+            post_init(p)
+
+        monkeypatch.setattr(states, "_classify", counting_classify)
+        monkeypatch.setattr(RiemannProblem, "__post_init__", counting_post_init)
+
+        # every solve and limit ref, and a stride of the slower commands
+        strides = {"solve_limit": 1, "sample_dense": 4, "verify_battery": 8, "oracle_fv": 17}
+        per_command = defaultdict(list)
+        for workload, stride in strides.items():
+            lines = (REFS / f"{workload}.jsonl").read_text(encoding="utf-8").splitlines()
+            for line in lines[::stride]:
+                ref = json.loads(line)
+                counts.update(built=0, classified=0)
+                argv = [ref["command"], "--config", write_config(tmp_path, ref["config"])]
+                assert main(argv + ["--out", str(tmp_path / "out")]) == ref["exit"]
+                assert counts["classified"] == counts["built"], ref["id"]
+                per_command[ref["command"]].append(counts["classified"])
+        capsys.readouterr()
+
+        assert set(per_command) == {"solve", "limit", "sample", "verify", "oracle"}
+        for command in ("solve", "sample", "verify", "oracle"):
+            assert set(per_command[command]) == {1}, command
+        # the problem, its twelve amplitudes and, for compressive data, A = 0
+        assert set(per_command["limit"]) == {13, 14}
+        assert sum(per_command["limit"]) / len(per_command["limit"]) == 13.5

@@ -14,7 +14,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chapgas import ChapgasError, classify_region, pressureless_case, problem_scale, solve
+from chapgas import ChapgasError, pressureless_case, problem_scale, solve
 from chapgas.waves import _profile
 from helpers import make_problem
 
@@ -61,7 +61,7 @@ _REGION_FANS = {
 @settings(max_examples=400, derandomize=True, database=None, deadline=None)
 @given(p=problems(), t=st.floats(0.1, 10.0))
 def test_fan_is_well_formed(p, t):
-    region = classify_region(p)
+    region = p.region
     variant, case = _REGION_FANS[region.value]
     assert pressureless_case(p) == case
     if region.value == "I" and p.params.pressureless:

@@ -10,7 +10,6 @@ from chapgas import (
     Region,
     RegionMismatch,
     ValidationError,
-    classify_region,
     concentration_integrals,
     default_sweep,
     limit_study,
@@ -30,8 +29,8 @@ class TestThresholds:
         assert thresholds(COMPRESSIVE) == (0.5, 1.0)
 
     def test_classification_straddles_lower_threshold(self):
-        assert classify_region(make_problem(1.0, 1.0, 1.0, 0.5, a=0.75)) is Region.II
-        assert classify_region(make_problem(1.0, 1.0, 1.0, 0.5, a=0.4)) is Region.III
+        assert make_problem(1.0, 1.0, 1.0, 0.5, a=0.75).region is Region.II
+        assert make_problem(1.0, 1.0, 1.0, 0.5, a=0.4).region is Region.III
 
     def test_degenerate_pair_at_zero_right_velocity(self):
         assert thresholds(make_problem(4.0, 1.0, 1.0, 0.0, a=0.25)) == (2.0, 2.0)
@@ -61,11 +60,11 @@ class TestThresholds:
             a0, a1 = thresholds(base)
             assert 0.0 < a0 < a1
             below = make_problem(rho_l, u_l, 1.0, u_r, a=0.9 * a0, alpha=alpha)
-            assert classify_region(below) is Region.III
+            assert below.region is Region.III
             above = make_problem(
                 rho_l, u_l, 1.0, u_r, a=0.5 * (a0 + a1), alpha=alpha
             )
-            assert classify_region(above) is Region.II
+            assert above.region is Region.II
 
 
 class TestConcentrationIntegrals:

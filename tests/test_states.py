@@ -1,6 +1,8 @@
 """State types, validation, pointwise algebra, and region classification."""
 
+import copy
 import math
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -16,7 +18,6 @@ from chapgas import (
     PrimState,
     Region,
     RiemannProblem,
-    classify_region,
     pressureless_case,
     problem_scale,
     riemann_invariants,
@@ -184,6 +185,21 @@ class TestPressurelessCase:
     def test_cases(self, u_l, u_r, expected):
         assert pressureless_case(make_problem(1.0, u_l, 2.0, u_r)) == expected
 
+    @pytest.mark.parametrize(
+        "u_r, region, expected",
+        [
+            (2.0, Region.I, "expansion"),
+            (1.0, Region.OnJ, "contact"),
+            (0.8, Region.II, "compression"),
+            (0.75, Region.OnSdelta, "compression"),  # w_l = 1 - 0.25 exactly
+            (0.0, Region.III, "compression"),
+        ],
+    )
+    def test_pressureless_limit_of_each_region(self, u_r, region, expected):
+        p = make_problem(1.0, 1.0, 2.0, u_r, a=0.25)
+        assert p.region is region
+        assert pressureless_case(p) == expected
+
 
 class TestClassifyRegion:
     @pytest.mark.parametrize("a", [0.0, -0.0], ids=["zero", "negative-zero"])
@@ -192,26 +208,26 @@ class TestClassifyRegion:
     )
     def test_pressureless_data(self, a, u_r, region):
         # at A = 0 the S_delta line is the contact line, so region II is empty
-        assert classify_region(make_problem(1.0, 1.0, 2.0, u_r, a=a)) is region
+        assert make_problem(1.0, 1.0, 2.0, u_r, a=a).region is region
 
     def test_contract_examples(self):
-        assert classify_region(make_problem(1.0, 1.0, 1.0, 2.0, a=0.25)) is Region.I
-        assert classify_region(make_problem(1.0, 1.0, 2.0, 0.8, a=0.25)) is Region.II
-        assert classify_region(make_problem(1.0, 1.0, 1.0, -1.0, a=0.25)) is Region.III
+        assert make_problem(1.0, 1.0, 1.0, 2.0, a=0.25).region is Region.I
+        assert make_problem(1.0, 1.0, 2.0, 0.8, a=0.25).region is Region.II
+        assert make_problem(1.0, 1.0, 1.0, -1.0, a=0.25).region is Region.III
 
     def test_boundary_tags_take_priority(self):
         # v_r equals u_l exactly: J boundary between I and II
-        assert classify_region(make_problem(1.0, 1.0, 3.0, 1.0, a=0.5)) is Region.OnJ
+        assert make_problem(1.0, 1.0, 3.0, 1.0, a=0.5).region is Region.OnJ
         # v_r equals w_l exactly: S_delta boundary between II and III
         p = make_problem(1.0, 1.0, 3.0, 0.5, a=0.5)  # w_l = 1 - 0.5 = 0.5
-        assert classify_region(p) is Region.OnSdelta
+        assert p.region is Region.OnSdelta
 
     def test_region_buckets_sweep(self):
         rng = np.random.default_rng(23)
         for region in ("I", "II", "III"):
             for _ in range(50):
                 p = draw_region_problem(rng, region, 0.5, 0.0)
-                assert classify_region(p).value == region
+                assert p.region.value == region
 
     def test_classification_is_beta_independent(self):
         rng = np.random.default_rng(31)
@@ -221,7 +237,43 @@ class TestClassifyRegion:
                 p0.left.rho, p0.left.v, p0.right.rho, p0.right.v,
                 p0.params.A, p0.params.alpha, 2.0,
             )
-            assert classify_region(p2) is classify_region(p0)
+            assert p2.region is p0.region
+
+
+class TestStoredRegion:
+    """region is decided on construction and derived from the data alone."""
+
+    def test_survives_pickle_and_deepcopy(self):
+        p = make_problem(1.0, 1.0, 2.0, 0.8, a=0.25)  # region II
+        for q in (pickle.loads(pickle.dumps(p)), copy.deepcopy(p), copy.copy(p)):
+            assert q == p and hash(q) == hash(p)
+            assert q.region is Region.II
+
+    def test_replace_recomputes_it(self):
+        p = make_problem(1.0, 1.0, 2.0, 0.8, a=0.25)
+        assert replace(p, params=GasParams(A=0.1, alpha=0.5)).region is Region.III
+        assert replace(p, right=PrimState(rho=2.0, v=1.0)).region is Region.OnJ
+        assert replace(p, params=GasParams(A=0.0, alpha=0.5)).region is Region.III
+        with pytest.raises(ValueError):
+            replace(p, region=Region.I)
+
+    def test_not_a_constructor_argument(self):
+        with pytest.raises(TypeError):
+            RiemannProblem(PrimState(1.0, 1.0), PrimState(1.0, 2.0), GasParams(0.5, 0.5), Region.I)
+
+    def test_repr_and_equality_see_only_the_data(self):
+        p = make_problem(1.0, 1.0, 2.0, 0.75, a=0.25)
+        assert repr(p) == (
+            "RiemannProblem(left=PrimState(rho=1.0, v=1.0), "
+            "right=PrimState(rho=2.0, v=0.75), "
+            "params=GasParams(A=0.25, alpha=0.5, beta=0.0))"
+        )
+        assert p == make_problem(1.0, 1.0, 2.0, 0.75, a=0.25)
+        assert hash(p) == hash(make_problem(1.0, 1.0, 2.0, 0.75, a=0.25))
+        assert p != make_problem(1.0, 1.0, 2.0, 0.7, a=0.25)
+        # A = 0 and A = -0.0 are equal data and the same region
+        assert make_problem(1.0, 1.0, 2.0, 0.0) == make_problem(1.0, 1.0, 2.0, 0.0, a=-0.0)
+        assert make_problem(1.0, 1.0, 2.0, 0.0, a=-0.0).region is Region.III
 
 
 class TestProblemScale:

@@ -14,7 +14,6 @@ from chapgas import (
     RegionMismatch,
     SampleKind,
     SolutionSlice,
-    classify_region,
     evaluate,
     intermediate_state,
     problem_scale,
@@ -78,7 +77,7 @@ class TestIntermediateState:
         p = make_problem(
             1.0, 0.27243838496098977, 2.0, 0.01584994011020891, a=0.25658844485078086
         )
-        assert classify_region(p) is Region.II
+        assert p.region is Region.II
         assert p.right.v - p.left.v + p.params.chap(p.left.rho) == 0.0
         with pytest.raises(DensityOutOfRange):
             intermediate_state(p)
