@@ -9,10 +9,11 @@ structurally unrelated to the closed-form solver.
 
 One ghost cell per side copies its edge cell (zero-gradient outflow).
 ``step`` is pure: it returns a new state with fresh ``rho`` and ``m``, which
-are read-only, so an in-place edit raises instead of going unseen. Its work
-arrays are made once per grid, by the first step of a march, and handed on
-in ``FvState.scratch``, because at a few hundred cells a step costs mostly
-per-call overhead (allocation, slicing), not arithmetic.
+are read-only, as ``init_state``'s are, so an in-place edit raises instead
+of going unseen. Its work arrays are made once per grid, by the first step
+of a march, and handed on in ``FvState.scratch``, because at a few hundred
+cells a step costs mostly per-call overhead (allocation, slicing), not
+arithmetic.
 
 ``step`` works only on a window of cells that can change. Outside the
 window each cell holds the bits of its side's far data state. Every face
@@ -26,10 +27,12 @@ cells when its edge cell changes (compared by bit pattern, since m can be
 +0.0 or -0.0). The full grid runs, for good, once the window would skip
 fewer cells than its bookkeeping costs (so always at 200 cells), when a far
 density lies below the floor (the clamp moves every far cell), and for the
-step in which a far face's flux is not finite. A state that ``step`` did
-not return, whether built by hand, by ``init_state`` or by
-``dataclasses.replace``, carries no window; ``step`` then reads one off the
-bits of its fields.
+step in which a far face's flux is not finite. ``init_state`` gives the
+data their window, _CHUNK cells per side of the interface, and ``step``
+hands on the window of each state it returns. ``step`` trusts a window only
+while the state's fields are the read-only arrays it was set for; every
+other state, whether built by hand, by ``dataclasses.replace`` or by a copy
+(whose arrays are writable), takes the full grid, which gives the same bits.
 """
 
 from __future__ import annotations
@@ -146,7 +149,8 @@ class _Window:
 
     Every cell outside the window, and its edge cells a (where a > 0) and
     b - 1 (where b < n), holds the bits of its side's far state, far =
-    (rho_l, m_l, rho_r, m_r). rho and m are the arrays it was found for.
+    (rho_l, m_l, rho_r, m_r). rho and m are the read-only arrays it was set
+    for.
     """
 
     __slots__ = ("rho", "m", "a", "b", "far")
@@ -154,10 +158,10 @@ class _Window:
     def __init__(self, rho, m, a: int, b: int, far: tuple):
         self.rho, self.m, self.a, self.b, self.far = rho, m, a, b, far
 
-    def __reduce__(self):
-        # a deep copy or unpickled state has writable copies of the fields,
-        # so it carries no window and step reads one off its bits
-        return type(None), ()
+    def fits(self, state) -> bool:
+        """Whether state's fields are still this window's read-only arrays."""
+        rho, m = state.rho, state.m
+        return rho is self.rho and m is self.m and not (rho.flags.writeable or m.flags.writeable)
 
     def after(self, rho, m, rho_win, m_win):
         """The window of the stepped fields rho and m, whose cells [a, b)
@@ -187,33 +191,6 @@ def _holds(rho: float, m: float, rho_far: float, m_far: float) -> bool:
     )
 
 
-def _scan(rho, m):
-    """The window of fields that carry none, read off their bit patterns.
-
-    The far states are the end cells. The window runs from the first cell
-    that differs from the left end to the last that differs from the right
-    end, plus _CHUNK cells per side. The full grid is the window of uniform
-    fields, of one that would skip fewer than _SKIP_MIN cells, and of one
-    with a far density below _FLOOR, since the floor clamp moves every far
-    cell on every step.
-    """
-    rho = np.asarray(rho, dtype=float)
-    m = np.asarray(m, dtype=float)
-    n = len(rho)
-    rho_bits, m_bits = rho.view(np.int64), m.view(np.int64)
-    moved = (rho_bits != rho_bits[0]) | (m_bits != m_bits[0])
-    first = int(np.argmax(moved))
-    if not moved[first]:
-        return _FULL
-    moved = (rho_bits != rho_bits[-1]) | (m_bits != m_bits[-1])
-    last = n - 1 - int(np.argmax(moved[::-1]))
-    a, b = max(0, first - _CHUNK), min(n, last + 1 + _CHUNK)
-    far = (rho.item(0), m.item(0), rho.item(-1), m.item(-1))
-    if n - (b - a) < _SKIP_MIN or (a and far[0] < _FLOOR) or (b < n and far[2] < _FLOOR):
-        return _FULL
-    return _Window(rho, m, a, b, far)
-
-
 @dataclass
 class FvState:
     """Cell-centred conserved fields plus bookkeeping.
@@ -222,8 +199,8 @@ class FvState:
     accumulate the net influx through the domain ends, so totals satisfy
     sum(q) dx - boundary = const to round-off while no clamping occurs.
     scratch holds step's work arrays for this grid; it is not part of the
-    state's value. _window is the part of the grid that step works on; only
-    step sets it, so a state built any other way carries none.
+    state's value. _window is the part of the grid that step works on;
+    init_state and step set it, and every other state takes the full grid.
     """
 
     x: np.ndarray
@@ -234,7 +211,7 @@ class FvState:
     boundary_mass: float = 0.0
     boundary_mom: float = 0.0
     scratch: _Scratch | None = field(default=None, repr=False, compare=False)
-    _window: _Window | str | None = field(default=None, init=False, repr=False, compare=False)
+    _window: _Window | str = field(default=_FULL, init=False, repr=False, compare=False)
 
     @property
     def dx(self) -> float:
@@ -267,13 +244,25 @@ def _velocity(rho, m, sc: _Scratch, out, nonpositive):
 
 
 def init_state(cfg: FvConfig) -> FvState:
+    """The Riemann data on the grid, with read-only rho and m, and their
+    window: _CHUNK cells per side of the interface, or the full grid when
+    that skips fewer than _SKIP_MIN cells or a far density lies below the
+    floor (the clamp moves every far cell)."""
     x, _ = grid(cfg)
     p = cfg.problem
     g = p.params
     rho = np.where(x < 0.0, p.left.rho, p.right.rho)
     v = np.where(x < 0.0, p.left.v, p.right.v)
     m = rho * v - g.A * rho ** (1.0 - g.alpha)
-    return FvState(x=x, rho=rho, m=m, t=0.0)
+    rho.setflags(write=False)
+    m.setflags(write=False)
+    state = FvState(x=x, rho=rho, m=m, t=0.0)
+    n, k = len(x), int(np.searchsorted(x, 0.0))
+    a, b = max(0, k - _CHUNK), min(n, k + _CHUNK)
+    if n - (b - a) >= _SKIP_MIN and min(p.left.rho, p.right.rho) >= _FLOOR:
+        far = (rho.item(0), m.item(0), rho.item(-1), m.item(-1))
+        state._window = _Window(rho, m, a, b, far)
+    return state
 
 
 def _face_flux(u, q: _Row, half_a, wk: _Work, half, out: _Row) -> _Row:
@@ -305,17 +294,15 @@ def step(state: FvState, cfg: FvConfig, dt_cap: float | None = None) -> FvState:
     pass on to the returned state.
 
     Only the cells of state's window are stepped; every cell outside it
-    keeps its bits (see _advance). A state that carries no window for its
-    own rho and m arrays has one read off its bits first.
+    keeps its bits (see _advance). A window that does not fit state's
+    fields is not trusted, and the full grid is stepped.
     """
     n = len(state.rho)
     sc = state.scratch
     if sc is None or sc.n != n or sc.cfg is not cfg:
         sc = _Scratch(n, cfg)
     win = state._window
-    if win is None or (win is not _FULL and (win.rho is not state.rho or win.m is not state.m)):
-        win = _scan(state.rho, state.m)
-    if win is not _FULL:
+    if win is not _FULL and win.fits(state):
         new = _advance(state, cfg, dt_cap, sc, win.a, win.b, win)
         if new is not None:
             return new

@@ -26,6 +26,7 @@ from .errors import (
     OutsideFan,
     PressurelessNotApplicable,
     RegionMismatch,
+    ValidationError,
 )
 from .states import (
     GasParams,
@@ -66,13 +67,20 @@ class WaveFan:
     states[0] and states[-1] are the data states. A segment is None where
     the solution is not constant: a vacuum between two contacts, or the
     rarefaction interior opened by a head wave. delta is the Dirac measure
-    of a delta-shock fan, whose one wave rides delta.path.
+    of a delta-shock fan, whose one wave rides delta.path. The stored speeds
+    never decrease from left to right (ValidationError otherwise), so the
+    waves keep their order at every t.
     """
 
     problem: RiemannProblem
     waves: tuple[Wave, ...]
     states: tuple[PrimState | None, ...]
     delta: DeltaShockWave | None = None
+
+    def __post_init__(self):
+        for left, right in zip(self.waves, self.waves[1:]):
+            if not left.path.c <= right.path.c:
+                raise ValidationError(f"wave {right.label} is slower than wave {left.label}")
 
     @property
     def variant(self) -> str:
@@ -174,7 +182,9 @@ def solve(p: RiemannProblem) -> WaveFan:
     if p.region is Region.I:
         star = intermediate_state(p)
         head = u_l - g.alpha * g.chap(p.left.rho)
-        tail = star.v - g.alpha * g.chap(star.rho)
+        # the tail lies right of the head; near the contact, rounding can
+        # put it one ulp left of it
+        tail = max(star.v - g.alpha * g.chap(star.rho), head)
         waves = (
             Wave("R1.head", "head", ParabolicPath(head, beta)),
             Wave("R1.tail", "tail", ParabolicPath(tail, beta)),

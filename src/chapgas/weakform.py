@@ -22,15 +22,15 @@ otherwise only the inside entries are computed. The nodes of a strip row
 are monotone across it, so the two end columns of the grid decide whether
 every x argument lies inside.
 
-Each strip lies between two adjacent wave paths, so strip k is segment
-fan.states[k]. When the waves are in order and every node lies strictly
-between the strip's two paths, a constant segment enters as its rho (a
-0-d operand) and columns of its u over the n time nodes, and a vacuum
-strip is skipped, since every term there is a signed zero. A rarefaction
-interior, or a strip with a node on or past a path (a strip thinner than a
-few ulps), falls back to the per-point waves._profile. Either way the
-residuals are bit for bit the per-point ones. Time is never expanded to
-the grid.
+Each strip lies between two adjacent wave paths, and a WaveFan keeps its
+waves in order, so strip k is segment fan.states[k]. When every node lies
+strictly between the strip's two paths, a constant segment enters as its
+rho (a 0-d operand) and columns of its u over the n time nodes, and a
+vacuum strip is skipped, since every term there is a signed zero. A
+rarefaction interior, or a strip with a node on or past a path (a strip
+thinner than a few ulps), falls back to the per-point waves._profile.
+Either way the residuals are bit for bit the per-point ones. Time is never
+expanded to the grid.
 
 Every n x n pass of a strip writes, with out=, into one of six work
 arrays of its order n (_Work), in the order of operations of the plain
@@ -246,7 +246,6 @@ def weak_residual(fan: WaveFan, psi: TestFunction, quad_n: int = 64):
     t_lo, t_hi = psi.t0 - psi.rt, psi.t0 + psi.rt
     x_lo, x_hi = psi.x0 - psi.rx, psi.x0 + psi.rx
     paths = [wave.path for wave in fan.waves]
-    ordered = all(a.c <= b.c for a, b in zip(paths[:-1], paths[1:]))
 
     cuts = {t_lo, t_hi}
     for path in paths:
@@ -282,7 +281,7 @@ def weak_residual(fan: WaveFan, psi: TestFunction, quad_n: int = 64):
             seg = fan.states[k]
             # X grows along each row, so its end columns decide whether every
             # node lies strictly between the strip's two paths
-            inside = ordered and (lo < X[:, 0]).all() and (X[:, -1] < hi).all()
+            inside = (lo < X[:, 0]).all() and (X[:, -1] < hi).all()
             if inside and seg is not None:
                 # rho ** e stays NumPy's power on an array: a Python float
                 # power differs from it in the last bit for some values

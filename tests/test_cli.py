@@ -365,6 +365,21 @@ class TestVerify:
         assert got["passed"] is True
         assert got["quad_n"] == 32
 
+    def test_near_contact_rarefaction_passes(self, tmp_path):
+        # u_r is one ulp above u_l; rounding used to store the fan tail one
+        # ulp left of its head, and the tail check raised OutsideFan (exit 2)
+        payload = {
+            "rho_l": 0.17080778300277974,
+            "u_l": -13.048470106423657,
+            "rho_r": 719.3301587276704,
+            "u_r": -13.048470106423656,
+            "A": 3.2788710223381394,
+            "alpha": 0.9436228700932762,
+        }
+        got = run_json(tmp_path, "verify", payload)
+        assert got["passed"] is True
+        assert got["variant"] == "rarefaction_contact"
+
 
 class TestOracle:
     def test_shock_contact_gates_pass(self, tmp_path):

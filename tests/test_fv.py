@@ -406,18 +406,17 @@ class TestExactness:
             assert got.clamped > 0
 
     def test_signed_zero_front_grows_the_window(self):
-        # rho and |m| are uniform; only the sign of m's zeros moves, one cell
-        # per step to the right, as a front of +0.0 into -0.0
-        cfg = config(make_problem(1.0, 0.0, 1.0, 0.0, beta=1.0), n_cells=400)
-        m = np.full(400, -0.0)
-        m[190:210] = 0.0
-        got = want = FvState(x=init_state(cfg).x, rho=np.ones(400), m=m, t=0.0)
+        # at A = 0 rho and |m| are uniform; only the sign of m's zeros moves,
+        # one cell per step to the right, as a front of +0.0 into -0.0
+        cfg = config(make_problem(1.0, 0.0, 1.0, -0.0, beta=1.0), n_cells=400)
+        got = want = init_state(cfg)
+        assert window_of(got) == (200 - fv._CHUNK, 200 + fv._CHUNK)
         for _ in range(40):
             got = step(got, cfg, dt_cap=1e-3)
             want = reference_step(want, cfg, dt_cap=1e-3)
             assert_bitwise_equal(got, want)
-        assert np.flatnonzero(~np.signbit(want.m))[-1] == 249
-        assert window_of(got)[1] > 250
+        assert np.flatnonzero(~np.signbit(want.m))[-1] == 239
+        assert window_of(got)[1] > 240
 
 
 class TestStepContract:
@@ -469,15 +468,17 @@ class TestStepContract:
     @pytest.mark.parametrize("value", [0.0, -1.0])
     def test_nonpositive_density_raises(self, value):
         s0 = init_state(self.CFG)
-        s0.rho[57] = value
+        rho = s0.rho.copy()
+        rho[57] = value
         with pytest.raises(NonPositiveDensity):
-            step(s0, self.CFG)
+            step(dataclasses.replace(s0, rho=rho), self.CFG)
 
     def test_infinite_momentum_raises(self):
         s0 = init_state(self.CFG)
-        s0.m[120] = np.inf
+        m = s0.m.copy()
+        m[120] = np.inf
         with pytest.raises(CflViolation, match="not finite"):
-            step(s0, self.CFG)
+            step(dataclasses.replace(s0, m=m), self.CFG)
 
     def test_zero_time_step_raises(self):
         with pytest.raises(CflViolation, match="no admissible time step"):
@@ -515,8 +516,9 @@ class TestStepContract:
         return state
 
     def test_stepped_fields_are_read_only(self):
-        for stepped in (step(init_state(self.CFG), self.CFG), self.windowed_state()):
-            for field in (stepped.rho, stepped.m):
+        built = init_state(self.WIDE)
+        for state in (built, step(init_state(self.CFG), self.CFG), self.windowed_state()):
+            for field in (state.rho, state.m):
                 with pytest.raises(ValueError):
                     field[3] = 1.0
 
@@ -553,14 +555,23 @@ class TestStepContract:
         with pytest.raises(CflViolation, match="not finite"):
             step(dataclasses.replace(stepped, m=m), self.WIDE)
 
-    def test_far_flux_overflow_takes_full_grid(self):
-        # u m overflows on every face, so the full grid turns far cells into nan
-        cfg = config(make_problem(1.0, 0.0, 1.0, 0.0), n_cells=400)
-        m = np.full(400, 1e200)
-        m[190:210] = 2e200
-        s0 = FvState(x=init_state(cfg).x, rho=np.ones(400), m=m, t=0.0)
+    def test_far_flux_overflow_takes_full_grid(self, monkeypatch):
+        # u m overflows on every face, so the window's step gives up and the
+        # full grid turns far cells into nan
+        cfg = config(make_problem(1.0, 1e200, 1.0, 2e200), n_cells=400)
+        s0 = init_state(cfg)
+        calls = []
+        real_advance = fv._advance
+
+        def advance(state, cfg, dt_cap, sc, a, b, win):
+            new = real_advance(state, cfg, dt_cap, sc, a, b, win)
+            calls.append((a, b, new is None))
+            return new
+
+        monkeypatch.setattr(fv, "_advance", advance)
         with np.errstate(over="ignore", invalid="ignore"):
             got, want = step(s0, cfg), reference_step(s0, cfg)
+        assert calls == [(200 - fv._CHUNK, 200 + fv._CHUNK, True), (0, 400, False)]
         assert np.isnan(want.m[0])
         assert_same_bits(got, want)
         assert (got.t, got.clamped) == (want.t, want.clamped)

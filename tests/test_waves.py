@@ -114,6 +114,23 @@ class TestIntermediateState:
         assert fan.variant == "shock_contact"
         assert fan.path("S1").c == fan.path("J").c == 0.8030728765025117
 
+    def test_near_contact_speeds_nondecreasing(self):
+        # u_r one ulp, or up to 1e-10 relative, above u_l: rounding could put
+        # the rarefaction tail one ulp left of its head
+        rng = np.random.default_rng(5)
+        for _ in range(2000):
+            rho_l, rho_r = 10.0 ** rng.uniform(-4.0, 4.0, size=2)
+            u_l = float(rng.uniform(-50.0, 50.0))
+            if rng.integers(2):
+                u_r = float(np.nextafter(u_l, np.inf))
+            else:
+                u_r = u_l + abs(u_l) * 1e-10 * float(rng.uniform())
+            alpha = rng.uniform(0.01, 0.99)
+            a = 3.0 * rho_l**alpha * rng.uniform()
+            fan = solve(make_problem(rho_l, u_l, rho_r, u_r, a, alpha, rng.uniform(-5.0, 5.0)))
+            speeds = [wave.path.c for wave in fan.waves]
+            assert speeds == sorted(speeds)
+
 
 class TestRarefactionState:
     def test_head_below_float_resolution(self):
