@@ -341,7 +341,7 @@ def cmd_oracle(cfg: dict, out: str | None) -> int:
     l1_max = _nonnegative(cfg, "l1_max") if "l1_max" in cfg else None
     if fan.delta is not None:
         # measure_delta_mass applies this rule to the same cells after the march
-        delta_mass_window(grid(fv_cfg)[0], fan.delta.position(t_end), delta_window)
+        delta_mass_window(grid(fv_cfg)[0], fan.delta.path.position(t_end), delta_window)
 
     state = run(fv_cfg)
     offsets = wave_offsets(state, fan)
@@ -400,7 +400,7 @@ def cmd_oracle(cfg: dict, out: str | None) -> int:
             gates.append(ok)
 
     if fan.delta is not None:
-        center = fan.delta.position(t_end)
+        center = fan.delta.path.position(t_end)
         measured = measure_delta_mass(state, center, delta_window)
         expected = fan.delta.weight(t_end)
         rel = abs(measured - expected) / max(abs(expected), 1e-30)

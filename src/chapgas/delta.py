@@ -11,8 +11,9 @@ closed form from the generalized Rankine-Hugoniot (GRH) system
 
 with jumps evaluated at the time-shifted side velocities u_pm + beta t and
 with A/rho**alpha assigned zero on the delta itself. u_delta(t) - beta t is
-a constant v_delta, w(t) = w0 t, and the trajectory is the parabola
-v_delta t + beta t^2 / 2.
+a constant v_delta and w(t) = w0 t. Like every wave of the model, the delta
+rides a ParabolicPath, x(t) = v_delta t + beta t^2 / 2, whose speed is
+sigma(t) = u_delta(t); the DeltaShockWave adds only the weight.
 """
 
 from __future__ import annotations
@@ -31,32 +32,23 @@ from .states import (
 
 @dataclass(frozen=True)
 class DeltaShockWave:
-    """Weighted Dirac measure riding x(t) = v_delta t + beta t^2 / 2.
+    """Weighted Dirac measure riding path.
 
-    v_delta : drift-free propagation speed (u_delta(t) = v_delta + beta t)
-    w0      : weight growth rate, w(t) = w0 t, w0 > 0
-    beta    : momentum source strength, copied from the problem
+    path : x(t) = v_delta t + beta t^2 / 2, whose speed is
+           u_delta(t) = sigma(t); the fan's Sdelta wave rides this object
+    w0   : weight growth rate, w(t) = w0 t, w0 > 0
     """
 
-    v_delta: float
+    path: ParabolicPath
     w0: float
-    beta: float
 
-    def sigma(self, t: float):
-        return self.v_delta + self.beta * t
-
-    def u_delta(self, t: float):
-        return self.sigma(t)
-
-    def position(self, t: float):
-        return self.v_delta * t + 0.5 * self.beta * t * t
+    @property
+    def v_delta(self) -> float:
+        """Drift-free propagation speed, u_delta(t) = v_delta + beta t."""
+        return self.path.c
 
     def weight(self, t: float):
         return self.w0 * t
-
-    @property
-    def path(self) -> ParabolicPath:
-        return ParabolicPath(self.v_delta, self.beta)
 
 
 def _delta_params(p: RiemannProblem):
@@ -109,7 +101,7 @@ def make_delta_wave(p: RiemannProblem) -> DeltaShockWave:
     if p.region not in (Region.III, Region.OnSdelta):
         raise RegionMismatch(f"delta shock requires region III data, got {p.region.value}")
     v_delta, w0 = _delta_params(p)
-    return DeltaShockWave(v_delta=v_delta, w0=w0, beta=p.params.beta)
+    return DeltaShockWave(ParabolicPath(v_delta, p.params.beta), w0)
 
 
 def _side_quantities(p: RiemannProblem, t: float):
@@ -124,14 +116,15 @@ def _side_quantities(p: RiemannProblem, t: float):
 def grh_residual(p: RiemannProblem, wave: DeltaShockWave, t: float):
     """Residuals (r1, r2, r3) of the three GRH equations at time t.
 
-    r1 compares the trajectory speed with sigma(t) and is zero by
-    construction for any DeltaShockWave; r2 and r3 test the stored
-    (v_delta, w0) against the jump data and do break under perturbation.
+    sigma(t) = v_delta + beta t takes the problem's beta, so r1 compares
+    the path's speed with it and catches a path that drifts with another
+    beta; r2 and r3 test the stored (v_delta, w0) against the jump data and
+    do break under perturbation.
     """
     g = p.params
     rho_l, rho_r = p.left.rho, p.right.rho
     ut_l, ut_r, q_l, q_r = _side_quantities(p, t)
-    sigma = wave.sigma(t)
+    sigma = wave.v_delta + g.beta * t
 
     r1 = wave.path.speed(t) - sigma
     r2 = wave.w0 - (sigma * (rho_r - rho_l) - (rho_r * ut_r - rho_l * ut_l))

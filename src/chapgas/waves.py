@@ -67,9 +67,9 @@ class WaveFan:
     states[0] and states[-1] are the data states. A segment is None where
     the solution is not constant: a vacuum between two contacts, or the
     rarefaction interior opened by a head wave. delta is the Dirac measure
-    of a delta-shock fan, whose one wave rides delta.path. The stored speeds
-    never decrease from left to right (ValidationError otherwise), so the
-    waves keep their order at every t.
+    of a delta-shock fan; its one wave, Sdelta, rides the same object,
+    delta.path. The stored speeds never decrease from left to right
+    (ValidationError otherwise), so the waves keep their order at every t.
     """
 
     problem: RiemannProblem
@@ -193,7 +193,11 @@ def solve(p: RiemannProblem) -> WaveFan:
         return WaveFan(p, waves, (p.left, None, star, p.right))
     if p.region is Region.II:
         star = intermediate_state(p)
-        shock = (star.rho * star.v - p.left.rho * u_l) / (star.rho - p.left.rho)
+        if star.rho == p.left.rho:
+            # a shock weaker than float resolution moves at lambda_1 of the left state
+            shock = u_l - g.alpha * g.chap(p.left.rho)
+        else:
+            shock = (star.rho * star.v - p.left.rho * u_l) / (star.rho - p.left.rho)
         if not math.isfinite(shock):
             raise DensityOutOfRange(f"shock speed overflows at star density {star.rho!r}")
         # the shock trails the contact; rounding can put it one ulp past u_r
@@ -328,7 +332,7 @@ def evaluate(
     values += [seg.v + bt for seg in fan.states if seg is not None]
     weight = u_delta = None
     if fan.delta is not None:
-        weight, u_delta = fan.delta.weight(t), fan.delta.u_delta(t)
+        weight, u_delta = fan.delta.weight(t), fan.delta.path.speed(t)
         values += [weight, u_delta]
     if not all(map(math.isfinite, values)):
         raise DensityOutOfRange(f"the solution at t = {t!r} leaves the float64 range")
@@ -346,7 +350,7 @@ def evaluate(
             kind[vacuum] = SampleKind.VACUUM
             special |= vacuum
     if fan.delta is not None:
-        on_delta = np.abs(xa - fan.delta.position(t)) <= loc_tol
+        on_delta = np.abs(xa - fan.delta.path.position(t)) <= loc_tol
         kind[on_delta] = SampleKind.ON_DELTA
         special |= on_delta
     rho[special] = np.nan

@@ -256,8 +256,6 @@ def weak_residual(fan: WaveFan, psi: TestFunction, quad_n: int = 64):
     r1 = 0.0
     r2 = 0.0
     for ta, tb in zip(panels[:-1], panels[1:]):
-        if tb <= ta:
-            continue
         tj = 0.5 * (ta + tb) + 0.5 * (tb - ta) * nodes
         wj = 0.5 * (tb - ta) * wts
         t_col = tj[:, None]
@@ -303,9 +301,9 @@ def weak_residual(fan: WaveFan, psi: TestFunction, quad_n: int = 64):
 
         if fan.delta is not None:
             d = fan.delta
-            xt = d.position(tj)
+            xt = d.path.position(tj)
             wt = d.weight(tj)
-            ud = d.u_delta(tj)
+            ud = d.path.speed(tj)
             # psi.dt, psi.dx and psi.value on the trajectory, from one x-bump
             # pair and the panel's t factors
             bx, dbx = psi.x_factors(xt)

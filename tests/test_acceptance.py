@@ -150,7 +150,7 @@ def test_criterion_2_weak_form_battery():
     fan = solve(sabotage)
     bad = replace(
         fan,
-        delta=DeltaShockWave(fan.delta.v_delta, fan.delta.w0 * 1.1, fan.delta.beta),
+        delta=DeltaShockWave(fan.delta.path, fan.delta.w0 * 1.1),
     )
     s = problem_scale(sabotage)
     sab_worst = max(
@@ -279,7 +279,7 @@ def test_criterion_5_fv_oracle_agreement():
     ):
         fan = solve(p)
         state = run(FvConfig(problem=p, x_lo=-2.0, x_hi=2.0, n_cells=4000, t_end=1.0))
-        got = measure_delta_mass(state, fan.delta.position(1.0), 0.1)
+        got = measure_delta_mass(state, fan.delta.path.position(1.0), 0.1)
         expected = fan.delta.weight(1.0)
         assert expected == 2.0
         worst_mass_rel = max(worst_mass_rel, abs(got - expected) / expected)

@@ -380,6 +380,37 @@ class TestVerify:
         assert got["passed"] is True
         assert got["variant"] == "rarefaction_contact"
 
+    @pytest.mark.parametrize("command", ["solve", "verify", "sample", "oracle"])
+    def test_near_contact_shock_has_no_traceback(self, tmp_path, capsys, command):
+        # u_r is one ulp below u_l and rho* rounds to rho_l; the shock speed
+        # used to divide by rho* - rho_l and raise ZeroDivisionError
+        payload = {
+            "rho_l": 0.8195869188610332,
+            "u_l": 6.46119715452744,
+            "rho_r": 326.8107863965611,
+            "u_r": 6.461197154527439,
+            "A": 528.2769352103344,
+            "alpha": 0.7958503004166151,
+            "beta": 1.8921146517615917,
+            "x_min": -2.0,
+            "x_max": 4.0,
+            "x_count": 7,
+            "times": [0.5, 1.0],
+            "x_lo": -400.0,
+            "x_hi": 100.0,
+            "n_cells": 200,
+            "t_end": 0.5,
+        }
+        cfg = write_config(tmp_path, payload)
+        code = main([command, "--config", cfg])
+        # 200 cells smear the oracle's plateau past its 2% gate (exit 3)
+        assert code == (3 if command == "oracle" else 0)
+        assert capsys.readouterr().err == ""
+        if command == "verify":
+            got = run_json(tmp_path, "verify", payload)
+            assert got["passed"] is True
+            assert got["variant"] == "shock_contact"
+
 
 class TestOracle:
     def test_shock_contact_gates_pass(self, tmp_path):

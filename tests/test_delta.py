@@ -1,5 +1,7 @@
 """Delta-shock construction: closed forms and GRH identities."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -76,16 +78,19 @@ class TestClosedForms:
 
 class TestWaveApi:
     def test_kinematics(self):
-        wave = DeltaShockWave(v_delta=0.5, w0=2.0, beta=1.0)
-        assert wave.sigma(2.0) == 2.5
-        assert wave.u_delta(2.0) == wave.sigma(2.0)
-        assert wave.position(2.0) == 3.0
+        wave = DeltaShockWave(ParabolicPath(c=0.5, beta=1.0), w0=2.0)
+        assert [f.name for f in dataclasses.fields(wave)] == ["path", "w0"]
+        assert wave.v_delta == 0.5
+        assert wave.path.speed(2.0) == 2.5
+        assert wave.path.position(2.0) == 3.0
         assert wave.weight(3.0) == 6.0
-        assert wave.path == ParabolicPath(c=0.5, beta=1.0)
+        for gone in ("sigma", "u_delta", "position", "beta"):
+            assert not hasattr(wave, gone)
 
     def test_pressureless_reference_trajectory(self):
         wave = make_delta_wave(make_problem(4.0, 1.0, 1.0, 0.0, beta=2.0))
-        assert wave.position(1.0) == pytest.approx(5.0 / 3.0, rel=1e-15)
+        assert wave.path == ParabolicPath(c=wave.v_delta, beta=2.0)
+        assert wave.path.position(1.0) == pytest.approx(5.0 / 3.0, rel=1e-15)
         assert wave.weight(1.0) == pytest.approx(2.0, rel=1e-15)
 
 
@@ -119,7 +124,7 @@ class TestGrhResidual:
     def test_wrong_speed_breaks_momentum_balance(self):
         # equal densities keep r2 speed-independent, so only r3 reacts
         wave = make_delta_wave(EQUAL_DENSITY)
-        bad = DeltaShockWave(wave.v_delta + 0.1, wave.w0, wave.beta)
+        bad = DeltaShockWave(ParabolicPath(wave.v_delta + 0.1, wave.path.beta), wave.w0)
         r1, r2, r3 = grh_residual(EQUAL_DENSITY, bad, 1.0)
         assert r1 == 0.0
         assert r2 == 0.0
@@ -127,11 +132,21 @@ class TestGrhResidual:
 
     def test_wrong_weight_breaks_both_jump_equations(self):
         wave = make_delta_wave(EQUAL_DENSITY)
-        bad = DeltaShockWave(wave.v_delta, wave.w0 * 1.1, wave.beta)
+        bad = DeltaShockWave(wave.path, wave.w0 * 1.1)
         r1, r2, r3 = grh_residual(EQUAL_DENSITY, bad, 1.0)
         assert r1 == 0.0
         assert abs(r2) > 1e-3
         assert abs(r3) > 1e-3
+
+    @pytest.mark.parametrize("t", [0.5, 1.0, 3.0])
+    def test_wrong_drift_breaks_path_equation(self, t):
+        # sigma(t) takes the problem's beta, so a path drifting with
+        # another beta misses it by (beta' - beta) t
+        p = make_problem(4.0, 1.0, 1.0, 0.0, beta=2.0)
+        wave = make_delta_wave(p)
+        bad = DeltaShockWave(ParabolicPath(wave.v_delta, 2.5), wave.w0)
+        r1, _, _ = grh_residual(p, bad, t)
+        assert r1 == pytest.approx(0.5 * t, rel=1e-12)
 
 
 class TestEntropy:
@@ -165,7 +180,7 @@ class TestQuadraticResidual:
 
     def test_detects_wrong_root(self):
         wave = make_delta_wave(EQUAL_DENSITY)
-        bad = DeltaShockWave(wave.v_delta + 0.1, wave.w0, wave.beta)
+        bad = DeltaShockWave(ParabolicPath(wave.v_delta + 0.1, wave.path.beta), wave.w0)
         assert abs(speed_quadratic_residual(EQUAL_DENSITY, bad)) > 1e-3
 
 

@@ -169,7 +169,7 @@ class TestDeltaMass:
     def test_concentrated_mass_matches_weight(self, p):
         fan = solve(p)
         state = run(config(p, n_cells=2000))
-        got = measure_delta_mass(state, fan.delta.position(1.0), 0.1)
+        got = measure_delta_mass(state, fan.delta.path.position(1.0), 0.1)
         assert got == pytest.approx(fan.delta.weight(1.0), rel=0.15)
 
     def test_window_guards(self):

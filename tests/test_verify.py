@@ -1,13 +1,18 @@
 """Check assembly shared by the CLI verify command and the acceptance suite."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from chapgas import (
     CheckRow,
+    ParabolicPath,
     ValidationError,
     checks_pass,
     fan_checks,
+    solve,
+    verify,
 )
 from helpers import draw_region_problem, make_problem
 
@@ -114,6 +119,20 @@ class TestSabotage:
         assert any(n.startswith("weak.") for n in failed)
         passed_paths = [r for r in rows if r.name.startswith("grh.path")]
         assert all(r.ok for r in passed_paths)
+
+    def test_path_with_foreign_drift_fails_grh_path(self, monkeypatch):
+        # sigma(t) takes the problem's beta, so a delta whose path drifts
+        # with another beta misses it by 0.5 t on every grh.path row past t = 0
+        fan = solve(DELTA)
+        path = ParabolicPath(fan.delta.v_delta, DELTA.params.beta + 0.5)
+        drifted = replace(fan, delta=replace(fan.delta, path=path))
+        monkeypatch.setattr(verify, "solve", lambda p: drifted)
+        _, rows = fan_checks(DELTA, quad_n=16)
+        paths = {r.name: r for r in rows if r.name.startswith("grh.path")}
+        assert paths["grh.path.t0"].value == 0.0
+        late = [r for name, r in paths.items() if name != "grh.path.t0"]
+        assert late
+        assert all(not r.ok and r.value != 0.0 for r in late)
 
     def test_rejected_for_fans_without_delta(self):
         with pytest.raises(ValidationError):

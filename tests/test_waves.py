@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from chapgas import (
+    ChapgasError,
     DensityOutOfRange,
     GasParams,
     NegativeTime,
@@ -15,6 +16,7 @@ from chapgas import (
     SampleKind,
     SolutionSlice,
     evaluate,
+    fan_checks,
     intermediate_state,
     problem_scale,
     rarefaction_state,
@@ -131,6 +133,43 @@ class TestIntermediateState:
             speeds = [wave.path.c for wave in fan.waves]
             assert speeds == sorted(speeds)
 
+    def test_shock_below_float_resolution(self):
+        # u_r is one ulp below u_l and rho* rounds to rho_l: the shock speed
+        # (rho* v* - rho_l u_l) / (rho* - rho_l) used to divide by zero
+        p = make_problem(
+            0.8195869188610332,
+            6.46119715452744,
+            326.8107863965611,
+            6.461197154527439,
+            528.2769352103344,
+            0.7958503004166151,
+            1.8921146517615917,
+        )
+        fan = solve(p)
+        assert fan.star.rho == p.left.rho
+        assert fan.path("S1").c == p.left.v - p.params.alpha * p.params.chap(p.left.rho)
+        assert fan.path("S1").c <= fan.path("J").c
+
+    def test_near_contact_region_ii_raises_only_typed_errors(self):
+        # u_r one ulp, or 1e-15 to 1e-10 relative, below u_l, with A large
+        # enough that the data sit in region II
+        rng = np.random.default_rng(5)
+        x = np.linspace(-100.0, 100.0, 41)
+        for _ in range(2000):
+            rho_l, rho_r = 10.0 ** rng.uniform(-4.0, 4.0, size=2)
+            u_l = float(rng.uniform(-50.0, 50.0))
+            if rng.integers(2):
+                u_r = float(np.nextafter(u_l, -np.inf))
+            else:
+                u_r = u_l - abs(u_l) * 10.0 ** rng.uniform(-15.0, -10.0)
+            alpha = rng.uniform(0.01, 0.99)
+            a = rho_l**alpha * 10.0 ** rng.uniform(-8.0, 3.0)
+            p = make_problem(rho_l, u_l, rho_r, u_r, a, alpha, rng.uniform(-5.0, 5.0))
+            try:
+                evaluate(solve(p), x, 1.0)
+            except ChapgasError:
+                pass
+
 
 class TestRarefactionState:
     def test_head_below_float_resolution(self):
@@ -217,6 +256,28 @@ class TestSolveDispatch:
         assert fan.variant == "delta_shock"
         assert fan.delta.v_delta == pytest.approx(-0.125, abs=1e-15)
         assert fan.delta.w0 == pytest.approx(2.0, rel=1e-15)
+
+    @pytest.mark.parametrize(
+        "p",
+        [
+            make_problem(1.0, 1.0, 1.0, -1.0, a=0.25),
+            make_problem(4.0, 1.0, 1.0, -2.0, a=0.25, alpha=0.3, beta=-1.5),
+            make_problem(1.0, 1.0, 2.0, 0.75, a=0.25, beta=2.0),
+            make_problem(4.0, 1.0, 1.0, 0.0, beta=2.0),
+            make_problem(1.0, 1.0, 1.0, 0.0, a=-0.0),
+        ],
+        ids=["region-III", "region-III-drift", "on-Sdelta", "pressureless", "negative-zero-A"],
+    )
+    def test_delta_rides_the_fan_path(self, p):
+        # one trajectory per wave: the delta and its Sdelta wave share it,
+        # and rescaling the weight keeps it
+        fan = solve(p)
+        assert fan.variant == "delta_shock"
+        assert fan.delta.path is fan.path("Sdelta")
+        assert fan.delta.path.beta == p.params.beta
+        sabotaged, _ = fan_checks(p, quad_n=16, w0_factor=1.1)
+        assert sabotaged.delta.path is sabotaged.path("Sdelta")
+        assert sabotaged.delta.w0 == fan.delta.w0 * 1.1
 
 
 class TestWavePaths:
@@ -329,7 +390,7 @@ class TestEvaluate:
         p = make_problem(1.0, 1.0, 1.0, -1.0, a=0.25, beta=2.0)
         fan = solve(p)
         t = 1.5
-        x = fan.delta.position(t)
+        x = fan.delta.path.position(t)
         s = evaluate(fan, x, t)
         assert s.kind == SampleKind.ON_DELTA
         assert s.weight == pytest.approx(fan.delta.w0 * t, rel=1e-15)
@@ -426,12 +487,12 @@ class TestBatchedEvaluate:
         # the window is closed: the neighbours exactly one step away are on it
         assert xs[on].tolist() == [2.0, 2.0625, 2.125]
         assert got.weight == fan.delta.weight(t)
-        assert got.u_delta == fan.delta.u_delta(t)
+        assert got.u_delta == fan.delta.path.speed(t)
 
     def test_default_tolerance_scales_per_point(self):
         fan = solve(FAN_VARIANTS["delta_shock"])
         t = 1.5
-        xd = fan.delta.position(t)
+        xd = fan.delta.path.position(t)
         assert xd == 2.0625  # default window 1e-9 * |x| is about 2.06e-9 here
         # a far point in the same array must not widen the window near the delta
         xs = np.array([xd, xd + 1e-9, xd + 3e-9, xd - 3e-9, 1e6])

@@ -141,9 +141,9 @@ def reference_weak_residual(p, fan, psi, quad_n):
             )
         if fan.variant == "delta_shock":
             d = fan.delta
-            xt = d.position(tj)
+            xt = d.path.position(tj)
             wt = d.weight(tj)
-            ud = d.u_delta(tj)
+            ud = d.path.speed(tj)
             along = psi.dt(xt, tj) + ud * psi.dx(xt, tj)
             r1 += float(np.sum(wj * wt * along))
             r2 += float(np.sum(wj * (wt * ud * along + g.beta * wt * psi.value(xt, tj))))
@@ -413,7 +413,7 @@ class TestResiduals:
 
     def test_sabotaged_weight_keeps_momentum_residual_large(self):
         fan = solve(REGION3)
-        bad_delta = DeltaShockWave(fan.delta.v_delta, fan.delta.w0 * 1.1, fan.delta.beta)
+        bad_delta = DeltaShockWave(fan.delta.path, fan.delta.w0 * 1.1)
         bad = replace(fan, delta=bad_delta)
         psi = residual_battery(fan)[0]
         r2_seq = [abs(weak_residual(bad, psi, n)[1]) for n in (32, 64, 128)]
@@ -440,6 +440,6 @@ class TestBattery:
     def test_delta_fan_has_bump_on_trajectory(self):
         fan = solve(REGION3)
         assert fan.variant == "delta_shock"
-        x_delta = fan.delta.position(1.0)
+        x_delta = fan.delta.path.position(1.0)
         battery = residual_battery(fan)
         assert any(abs(psi.x0 - x_delta) < 1e-12 for psi in battery)
