@@ -37,6 +37,7 @@ from .fv import (
     delta_mass_window,
     grid,
     measure_delta_mass,
+    offset_windows,
     run,
     wave_offsets,
 )
@@ -339,9 +340,12 @@ def cmd_oracle(cfg: dict, out: str | None) -> int:
     plateau_rtol = _nonnegative(cfg, "plateau_rtol", 0.02)
     delta_mass_rtol = _nonnegative(cfg, "delta_mass_rtol", 0.15)
     l1_max = _nonnegative(cfg, "l1_max") if "l1_max" in cfg else None
+    # measure_delta_mass and wave_offsets take their windows on the same
+    # cells after the march
+    x = grid(fv_cfg)[0]
     if fan.delta is not None:
-        # measure_delta_mass applies this rule to the same cells after the march
-        delta_mass_window(grid(fv_cfg)[0], fan.delta.path.position(t_end), delta_window)
+        delta_mass_window(x, fan.delta.path.position(t_end), delta_window)
+    offset_windows(x, fan, t_end)
 
     state = run(fv_cfg)
     offsets = wave_offsets(state, fan)

@@ -451,9 +451,8 @@ def compare_to_exact(state: FvState, fan: WaveFan, exclusion: float) -> float:
     return float(np.sum(np.abs(state.rho[keep] - rho_exact[keep])) * state.dx)
 
 
-def _window(state: FvState, x_target: float, halfwidth: float):
-    mask = np.abs(state.x - x_target) <= halfwidth
-    idx = np.flatnonzero(mask)
+def _window(x: np.ndarray, x_target: float, halfwidth: float):
+    idx = np.flatnonzero(np.abs(x - x_target) <= halfwidth)
     if idx.size < 5:
         raise WindowOutOfDomain("search window too small or outside the grid")
     return int(idx[0]), int(idx[-1])
@@ -461,7 +460,7 @@ def _window(state: FvState, x_target: float, halfwidth: float):
 
 def locate_jump(state: FvState, x_target: float, halfwidth: float) -> float:
     """Interface with the steepest density difference near x_target."""
-    lo, hi = _window(state, x_target, halfwidth)
+    lo, hi = _window(state.x, x_target, halfwidth)
     seg = state.rho[lo : hi + 1]
     k = int(np.argmax(np.abs(np.diff(seg))))
     return float(state.x[lo + k] + 0.5 * state.dx)
@@ -469,42 +468,53 @@ def locate_jump(state: FvState, x_target: float, halfwidth: float) -> float:
 
 def locate_peak(state: FvState, x_target: float, halfwidth: float) -> float:
     """Cell with the largest density near x_target (delta spike)."""
-    lo, hi = _window(state, x_target, halfwidth)
+    lo, hi = _window(state.x, x_target, halfwidth)
     k = int(np.argmax(state.rho[lo : hi + 1]))
     return float(state.x[lo + k])
 
 
-def wave_offsets(state: FvState, fan: WaveFan):
-    """Signed located-minus-exact distance, in cells, per locatable wave.
+def offset_windows(x: np.ndarray, fan: WaveFan, t: float):
+    """The waves that wave_offsets locates on the cell centres x at time t,
+    as (label, method, position, halfwidth) quadruples.
 
-    Returns (label, method, cells) triples. Jumps (shocks and contacts) are
-    located by the steepest density difference, the delta spike by the
-    density peak. Rarefaction edges are omitted: the scheme smears a slope
-    kink into a transition wider than the fan's own curvature, so no
-    gradient-based locator applies; the profile comparison covers them.
-    Waves with no density jump (constant data still has a formal contact)
-    carry no locatable signal and are omitted as well.
+    Jumps (shocks and contacts) are located by the steepest density
+    difference, the delta spike by the density peak. Rarefaction edges are
+    omitted: the scheme smears a slope kink into a transition wider than the
+    fan's own curvature, so no gradient-based locator applies; the profile
+    comparison covers them. Waves with no density jump (constant data still
+    has a formal contact) carry no locatable signal and are omitted as well.
+    Raises WindowOutOfDomain when a search window holds fewer than five
+    cells, so a run on a grid that cannot hold a window fails before it
+    marches.
     """
-    positions = [wave.path.position(state.t) for wave in fan.waves]
-    span = float(state.x[-1] - state.x[0])
-    dx = state.dx
+    positions = [wave.path.position(t) for wave in fan.waves]
+    span = float(x[-1] - x[0])
+    dx = float(x[1] - x[0])
     out = []
     for k, (wave, pos) in enumerate(zip(fan.waves, positions)):
         if wave.kind in ("head", "tail"):
             continue
         if wave.kind != "delta":
             eps = 1e-9 * max(1.0, abs(pos))
-            sides = _profile(fan, np.array([pos - eps, pos + eps]), state.t)[0]
+            sides = _profile(fan, np.array([pos - eps, pos + eps]), t)[0]
             if abs(sides[1] - sides[0]) <= 1e-9 * max(1.0, sides[0], sides[1]):
                 continue
         gaps = [abs(pos - q) for j, q in enumerate(positions) if j != k]
         halfwidth = min(gaps) * 0.45 if gaps else 0.15 * span
         halfwidth = max(5.0 * dx, min(halfwidth, 0.15 * span))
-        if wave.kind == "delta":
-            found = locate_peak(state, pos, halfwidth)
-            method = "peak"
-        else:
-            found = locate_jump(state, pos, halfwidth)
-            method = "jump"
-        out.append((wave.label, method, (found - pos) / dx))
+        _window(x, pos, halfwidth)
+        out.append((wave.label, "peak" if wave.kind == "delta" else "jump", pos, halfwidth))
+    return out
+
+
+def wave_offsets(state: FvState, fan: WaveFan):
+    """Signed located-minus-exact distance, in cells, per locatable wave.
+
+    Returns (label, method, cells) triples for the waves and windows of
+    offset_windows at the state's time.
+    """
+    out = []
+    for label, method, pos, halfwidth in offset_windows(state.x, fan, state.t):
+        locate = locate_peak if method == "peak" else locate_jump
+        out.append((label, method, (locate(state, pos, halfwidth) - pos) / state.dx))
     return out

@@ -9,36 +9,43 @@ smooth psi(x, t) with support in t > 0,
 where the pairings integrate the classical part over the plane and add, for
 a delta shock, line integrals along the trajectory parametrized by t with
 weight w(t), velocity u_delta(t), and A/rho**alpha taken as zero on the
-delta. The integrals are done with tensor Gauss-Legendre quadrature; the
-support rectangle is split at every wave trajectory so each quadrature cell
-sees a smooth integrand.
+delta. The test functions are tensor bumps psi = b((x - x0)/rx) bt(t) with
+bt(t) = b((t - t0)/rt). The support's time span is split into panels
+wherever a wave enters or leaves the support, each panel takes n
+Gauss-Legendre nodes in t, and at each node the x axis splits at the wave
+positions into strips, strip k holding segment fan.states[k] (a WaveFan
+keeps its waves in order).
 
-The bump factors of psi are evaluated once per strip, each pair (b, b')
-with one exp: the t factors once per time panel on its n nodes, the x
-factors once on the strip's n x n grid and on a delta's n trajectory
-points; psi, psi_x and psi_t are their broadcast products. A pair whose
-every argument lies inside the support is taken on the whole array;
-otherwise only the inside entries are computed. The nodes of a strip row
-are monotone across it, so the two end columns of the grid decide whether
-every x argument lies inside.
+A constant strip is integrated exactly in x. Its state is constant, so
+every term is a function of t times psi_t, psi_x or psi, and with B the
+antiderivative of b and s = (x - x0)/rx running over [s_lo, s_hi],
 
-Each strip lies between two adjacent wave paths, and a WaveFan keeps its
-waves in order, so strip k is segment fan.states[k]. When every node lies
-strictly between the strip's two paths, a constant segment enters as its
-rho (a 0-d operand) and columns of its u over the n time nodes, and a
-vacuum strip is skipped, since every term there is a signed zero. A
-rarefaction interior, or a strip with a node on or past a path (a strip
-thinner than a few ulps), falls back to the per-point waves._profile.
-Either way the residuals are bit for bit the per-point ones. Time is never
-expanded to the grid.
+    int psi_x dx = bt [b(s_hi) - b(s_lo)],
+    int psi dx = rx bt [B(s_hi) - B(s_lo)],
+    int psi_t dx = rx (bt' / rt) [B(s_hi) - B(s_lo)].
 
-Every n x n pass of a strip writes, with out=, into one of six work
-arrays of its order n (_Work), in the order of operations of the plain
-expressions, so no strip allocates an n x n temporary and the sums keep
-their bits. A set outlives the call: each thread keeps its own
-(threading.local), so concurrent calls never share one, and holds the
-sets of its last two orders up to 256, at most 6.3 MB per thread (0.98 MB
-for orders 64 and 128). A higher order gets a fresh set on every call.
+All constant strips of all panels are one vectorized expression over n
+nodes per panel and strip. B comes from a table of 512 cells, built on
+first use: a strip's interval is whole cells from the table plus a piece
+at each end by Gauss nodes, and an interval inside one cell is one piece,
+so a strip thinner than a cell keeps its relative accuracy. A strip's
+width is the difference of its two clipped wave positions, the same width
+a grid of nodes across the strip would see. A vacuum strip adds nothing.
+
+A rarefaction interior is integrated on an n x n Gauss grid per panel,
+its states from waves._profile. Every n x n pass writes, with out=, into
+one of eight work arrays of its order n (_Work), in the order of operations
+of the plain expressions, so no pass allocates an n x n temporary and the
+sums keep their bits. A set outlives the call: each thread keeps its own
+(threading.local), so concurrent calls never share one, and holds the sets
+of its last two orders up to 256, at most 8.4 MB per thread (1.3 MB for
+orders 64 and 128). A higher order gets a fresh set on every call.
+
+The bump factors are evaluated once per call, each pair (b, b') with one
+exp: the t factors on every panel's nodes, the x factors on a rarefaction
+strip's grid and on the delta's trajectory points. A pair whose every
+argument lies inside the support is taken on the whole array; otherwise
+only the inside entries are computed.
 """
 
 from __future__ import annotations
@@ -46,7 +53,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 
 import numpy as np
 
@@ -125,8 +132,86 @@ def _gauss(n: int):
     return nodes, wts
 
 
+# B(s) = int_{-1}^{s} b: _CELLS cells of width 2/_CELLS (a power of two, so
+# every edge is exact), each integrated with _TABLE_ORDER Gauss nodes, and a
+# piece of one cell with _PIECE_ORDER nodes
+_CELLS = 512
+_TABLE_ORDER = 16
+_PIECE_ORDER = 8
+_RIM = 2.0**-10
+
+
+def _running_sums(values):
+    """0 and the running sums of values, each with Neumaier's compensation."""
+    out, total, comp = [0.0], 0.0, 0.0
+    for v in values:
+        t = total + v
+        comp += (total - t) + v if abs(total) >= abs(v) else (v - t) + total
+        total = t
+        out.append(total + comp)
+    return out
+
+
+@cache
+def _bump_table():
+    """The cell edges E_0..E_{_CELLS + 1} (the last lies past 1), the
+    integrals B(E_i) and the bump values b(E_i) for i <= _CELLS, and the
+    piece rule: node fractions 0.5 (node + 1) and half-weights.
+
+    Built on first use, 4 KB per array, and read-only. Each B(E_i) is the
+    compensated sum of its cells' integrals, within an ulp of the exact sum:
+    a plain cumulative sum is off by up to ten ulps, and math.fsum per
+    prefix takes some 10 ms.
+    """
+    h = 2.0 / _CELLS
+    edges = -1.0 + h * np.arange(_CELLS + 2)
+    nodes, wts = _gauss(_TABLE_ORDER)
+    cells = 0.5 * h * (_bump_pair(edges[:_CELLS, None] + 0.5 * h * (nodes + 1.0))[0] @ wts)
+    cum = np.array(_running_sums(cells.tolist()))
+    nodes, wts = _gauss(_PIECE_ORDER)
+    table = (edges, cum, _bump_pair(edges[: _CELLS + 1])[0], 0.5 * (nodes + 1.0), 0.5 * wts)
+    for arr in table:
+        arr.flags.writeable = False
+    return table
+
+
+def _bump_integrals(lo, width):
+    """(int b ds, b(hi) - b(lo)) over [lo, hi], hi = lo + width, elementwise,
+    for -1 <= lo <= hi <= 1.
+
+    [lo, hi] splits at the table's cell edges into a piece of lo's cell,
+    whole cells, whose integrals and end values come from the table, and a
+    piece of hi's cell. The pieces take Gauss nodes on b and b', and an
+    interval inside one cell is one piece of the given width, so it keeps
+    its relative accuracy however thin it is, where a difference of two
+    values of B or of b would keep only their absolute one.
+    """
+    edges, cum, b_edges, frac, half_w = _bump_table()
+    hi = np.minimum(lo + width, 1.0)
+    i_lo = edges.searchsorted(lo, "right") - 1
+    i_hi = edges.searchsorted(hi, "right") - 1
+    j = np.minimum(i_lo + 1, i_hi)  # i_hi when lo and hi share a cell
+    # the pieces [lo, lo + first] and [E_{i_hi}, E_{i_hi} + last], their
+    # sizes taken from width, not from the rounded hi; last is 0 when lo
+    # and hi share a cell
+    size = np.empty((2,) + lo.shape)
+    first, last = size
+    np.minimum(width, edges[i_lo + 1] - lo, out=first)
+    np.subtract(width - first, edges[i_hi] - edges[j], out=last)
+    s = np.stack((lo, edges[i_hi]))[..., None] + size[..., None] * frac
+    # a piece of size 0 puts its nodes on its end, which can be +-1; b and
+    # b' are below 1e-216 within _RIM of +-1, so the nodes there move in
+    np.minimum(np.maximum(s, _RIM - 1.0, out=s), 1.0 - _RIM, out=s)
+    b, db = _bump_inside(s)
+    pb, pdb = size * (b @ half_w), size * (db @ half_w)
+    return (
+        pb[0] + (cum[i_hi] - cum[j]) + pb[1],
+        pdb[0] + (b_edges[i_hi] - b_edges[j]) + pdb[1],
+    )
+
+
 class _Work:
-    """The n x n work arrays of the strip kernel at quadrature order n.
+    """The n x n work arrays of the rarefaction-strip kernel at order n.
 
     The kernel writes every entry before it reads it, so a set carries
     nothing from one strip, panel, bump or fan to the next. frac is where
@@ -141,11 +226,13 @@ class _Work:
         if np.any(np.diff(self.frac[0]) < 0.0):
             raise RuntimeError(f"Gauss-Legendre nodes of order {n} are not in order")
         self.frac.flags.writeable = False
-        self.x, self.w, self.p, self.b, self.t1, self.t2 = (np.empty((n, n)) for _ in range(6))
+        self.x, self.w, self.p, self.b, self.t1, self.t2, self.bt, self.dbt_rt = (
+            np.empty((n, n)) for _ in range(8)
+        )
 
 
 # Each thread keeps the work sets of its last _KEEP orders up to _KEEP_MAX_N:
-# at most 2 x 6 x 256^2 x 8 B = 6.3 MB, and 0.98 MB for orders 64 and 128.
+# at most 2 x 8 x 256^2 x 8 B = 8.4 MB, and 1.3 MB for orders 64 and 128.
 # A higher order gets a fresh set per call.
 _KEEP = 2
 _KEEP_MAX_N = 256
@@ -166,12 +253,12 @@ def _work(n: int) -> _Work:
     return ws
 
 
-def _strip_sums(ws: _Work, psi: TestFunction, rho, rho_u, mom, mom_u, beta_rho, bt, dbt_rt):
-    """Quadrature sums (R1, R2) of one strip, pass by pass in ws.
+def _strip_sums(ws: _Work, psi: TestFunction, rho, rho_u, mom, mom_u, beta_rho):
+    """Quadrature sums (R1, R2) of one rarefaction strip, pass by pass in ws.
 
-    On entry ws.x holds the strip's nodes X and ws.w their weights W; the
-    state terms are 0-d, (n, 1) columns over the time nodes or n x n. Each
-    pass is the operation, in the order, of
+    On entry ws.x holds the strip's nodes X, ws.w their weights W and ws.bt
+    and ws.dbt_rt the t factors bt and bt'/rt on the grid; the state terms
+    are n x n. Each pass is the operation, in the order, of
 
         R1 = sum(W (rho psi_t + (rho u) psi_x))
         R2 = sum(W (mom psi_t + (mom u) psi_x + (beta rho) psi)),
@@ -180,7 +267,7 @@ def _strip_sums(ws: _Work, psi: TestFunction, rho, rho_u, mom, mom_u, beta_rho, 
     x-bump pair (b, b') of _bump_pair, so the sums are bit for bit those
     of the allocating expressions.
     """
-    s, p, b = ws.x, ws.p, ws.b
+    s, p, b, bt = ws.x, ws.p, ws.b, ws.bt
     np.subtract(s, psi.x0, out=s)
     np.divide(s, psi.rx, out=s)
     # a monotone row has its extremes at its ends, so the two end columns
@@ -195,7 +282,7 @@ def _strip_sums(ws: _Work, psi: TestFunction, rho, rho_u, mom, mom_u, beta_rho, 
         np.multiply(b, s, out=s)  # b' = b (-2 s / g^2)
     else:
         b[...], s[...] = _bump_pair(s)
-    np.multiply(b, dbt_rt, out=p)  # psi_t
+    np.multiply(b, ws.dbt_rt, out=p)  # psi_t
     np.divide(s, psi.rx, out=s)
     np.multiply(s, bt, out=s)  # psi_x
 
@@ -235,13 +322,11 @@ def _crossing_times(c: float, beta: float, x_edge: float, t_lo: float, t_hi: flo
     return [t for t in hits if t_lo < t < t_hi]
 
 
-def weak_residual(fan: WaveFan, psi: TestFunction, quad_n: int = 64):
-    """Residuals (R1, R2) of the two weak-form identities of fan.problem
-    against psi."""
-    n = _check_order(quad_n)
+def _parts(fan: WaveFan, psi: TestFunction, n: int):
+    """(R1, R2) of fan against psi, in three parts summed over the panels:
+    the constant strips, the rarefaction interiors and the delta line."""
     g = fan.problem.params
     nodes, wts = _gauss(n)
-    ws = _work(n)
 
     t_lo, t_hi = psi.t0 - psi.rt, psi.t0 + psi.rt
     x_lo, x_hi = psi.x0 - psi.rx, psi.x0 + psi.rx
@@ -251,67 +336,87 @@ def weak_residual(fan: WaveFan, psi: TestFunction, quad_n: int = 64):
     for path in paths:
         for edge in (x_lo, x_hi):
             cuts.update(_crossing_times(path.c, g.beta, edge, t_lo, t_hi))
-    panels = sorted(cuts)
+    panels = np.array(sorted(cuts))
+    ta, tb = panels[:-1, None], panels[1:, None]
+    # one row of n time nodes per panel
+    tj = 0.5 * (ta + tb) + 0.5 * (tb - ta) * nodes
+    wj = 0.5 * (tb - ta) * wts
+    bt, dbt = psi.t_factors(tj)
+    dbt_rt = dbt / psi.rt
 
-    r1 = 0.0
-    r2 = 0.0
-    for ta, tb in zip(panels[:-1], panels[1:]):
-        tj = 0.5 * (ta + tb) + 0.5 * (tb - ta) * nodes
-        wj = 0.5 * (tb - ta) * wts
-        t_col = tj[:, None]
-        bt, dbt = psi.t_factors(t_col)
-        dbt_rt = dbt / psi.rt
+    # breakpoints on every node: the support's edges and the wave positions
+    # clipped into it; the waves keep their order, so each column runs left
+    # to right
+    x = np.empty((len(paths) + 2,) + tj.shape)
+    x[0], x[-1] = x_lo, x_hi
+    pos = np.multiply(np.array([path.c for path in paths])[:, None, None], tj, out=x[1:-1])
+    pos += 0.5 * g.beta * tj * tj
+    np.minimum(np.maximum(pos, x_lo, out=pos), x_hi, out=pos)
 
-        # x-breakpoints: wave positions clipped into the support, kept in
-        # their left-to-right order (wave trajectories do not cross)
-        half = 0.5 * g.beta * tj * tj
-        rows = [np.full(tj.shape, x_lo)]
-        for path in paths:
-            rows.append(np.clip(path.c * tj + half, x_lo, x_hi))
-        rows.append(np.full(tj.shape, x_hi))
+    # constant strips, exact in x: strip k lies between breakpoints k and
+    # k + 1 and holds the state fan.states[k]
+    const = [k for k, seg in enumerate(fan.states) if seg is not None]
+    lo, hi = x[const], x[[k + 1 for k in const]]
+    dB, db = _bump_integrals(
+        np.minimum(np.maximum((lo - psi.x0) / psi.rx, -1.0), 1.0), (hi - lo) / psi.rx
+    )
+    area = psi.rx * dB  # the strip's integral of b((x - x0)/rx) dx
+    at, ax = wj * dbt_rt, wj * bt  # the t weights times bt'/rt and bt
+    rho = np.array([fan.states[k].rho for k in const])[:, None, None]
+    u = np.array([fan.states[k].v for k in const])[:, None, None] + g.beta * tj
+    rho_u = rho * u
+    mom = rho_u - g.A * rho ** (1.0 - g.alpha)
+    constant = (
+        float(np.sum(area * (rho * at) + db * (rho_u * ax))),
+        float(np.sum(area * (mom * at + g.beta * rho * ax) + db * (mom * u * ax))),
+    )
 
-        for k, (lo, hi) in enumerate(zip(rows[:-1], rows[1:])):
+    # rarefaction interiors on the 2-D Gauss grid, panel by panel
+    r1 = r2 = 0.0
+    for k in range(1, len(fan.waves)):
+        if fan.states[k] is not None or fan.is_vacuum(k):
+            continue
+        ws = _work(n)
+        for p, t in enumerate(tj):
+            lo, hi = x[k, p], x[k + 1, p]
             width = hi - lo
             if not (width > 0.0).any():
                 continue
             X = np.multiply(width[:, None], ws.frac, out=ws.x)
             np.add(lo[:, None], X, out=X)
-            seg = fan.states[k]
-            # X grows along each row, so its end columns decide whether every
-            # node lies strictly between the strip's two paths
-            inside = (lo < X[:, 0]).all() and (X[:, -1] < hi).all()
-            if inside and seg is not None:
-                # rho ** e stays NumPy's power on an array: a Python float
-                # power differs from it in the last bit for some values
-                rho_col = np.full(t_col.shape, seg.rho)
-                u = seg.v + g.beta * t_col
-                rho, beta_rho = seg.rho, g.beta * seg.rho
-            elif inside and fan.is_vacuum(k):
-                continue  # every term is a signed zero
-            else:
-                rho_col, u = _profile(fan, X, t_col)
-                rho, beta_rho = rho_col, g.beta * rho_col
-            np.multiply((wj * 0.5 * width)[:, None], wts, out=ws.w)
-
-            rho_u = rho_col * u
+            np.multiply((wj[p] * 0.5 * width)[:, None], wts, out=ws.w)
+            rho_col, u_col = _profile(fan, X, t[:, None])
+            # the t factors on the whole grid: a plain multiply costs about
+            # half of one that broadcasts a column
+            ws.bt[...] = bt[p][:, None]
+            ws.dbt_rt[...] = dbt_rt[p][:, None]
+            rho_u = rho_col * u_col
             mom = rho_u - g.A * rho_col ** (1.0 - g.alpha)
-            s1, s2 = _strip_sums(ws, psi, rho, rho_u, mom, mom * u, beta_rho, bt, dbt_rt)
+            s1, s2 = _strip_sums(ws, psi, rho_col, rho_u, mom, mom * u_col, g.beta * rho_col)
             r1 += s1
             r2 += s2
+    rarefaction = (r1, r2)
 
-        if fan.delta is not None:
-            d = fan.delta
-            xt = d.path.position(tj)
-            wt = d.weight(tj)
-            ud = d.path.speed(tj)
-            # psi.dt, psi.dx and psi.value on the trajectory, from one x-bump
-            # pair and the panel's t factors
-            bx, dbx = psi.x_factors(xt)
-            along = bx * dbt_rt[:, 0] + ud * (dbx / psi.rx * bt[:, 0])
-            r1 += float(np.sum(wj * wt * along))
-            r2 += float(np.sum(wj * (wt * ud * along + g.beta * wt * (bx * bt[:, 0]))))
+    r1 = r2 = 0.0
+    if fan.delta is not None:
+        d = fan.delta
+        wt = d.weight(tj)
+        ud = d.path.speed(tj)
+        # psi.dt, psi.dx and psi.value on the trajectory, from one x-bump
+        # pair and the panels' t factors
+        bx, dbx = psi.x_factors(d.path.position(tj))
+        along = bx * dbt_rt + ud * (dbx / psi.rx * bt)
+        # one sum per panel, added in order, as the tensor grid sums them
+        r1 = sum((wj * wt * along).sum(axis=1).tolist())
+        r2 = sum((wj * (wt * ud * along + g.beta * wt * (bx * bt))).sum(axis=1).tolist())
+    return constant, rarefaction, (r1, r2)
 
-    return r1, r2
+
+def weak_residual(fan: WaveFan, psi: TestFunction, quad_n: int = 64):
+    """Residuals (R1, R2) of the two weak-form identities of fan.problem
+    against psi."""
+    parts = _parts(fan, psi, _check_order(quad_n))
+    return sum(r1 for r1, _ in parts), sum(r2 for _, r2 in parts)
 
 
 def residual_battery(fan: WaveFan):

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 from collections import defaultdict
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -13,8 +14,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from chapgas import DensityOutOfRange, RiemannProblem, cli, states
+from chapgas import DensityOutOfRange, RiemannProblem, WindowOutOfDomain, cli, states
 from chapgas.cli import main
+from chapgas.fv import FvConfig, init_state, wave_offsets
 from chapgas.waves import SampleKind, evaluate, solve
 from helpers import loads_strict, make_problem
 
@@ -499,6 +501,35 @@ class TestOracle:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "WindowOutOfDomain" in captured.err
+
+    def test_wave_window_off_the_grid_exits_2_before_the_march(self, tmp_path, capsys, monkeypatch):
+        # the near-contact shock pair sits near x = 7.4 at t_end = 1, off the
+        # default grid on [-2, 2]; the march used to take 37 s before the
+        # offset locator found that out
+        payload = {
+            "rho_l": 0.8195869188610332,
+            "u_l": 6.46119715452744,
+            "rho_r": 326.8107863965611,
+            "u_r": 6.461197154527439,
+            "A": 528.2769352103344,
+            "alpha": 0.7958503004166151,
+            "beta": 1.8921146517615917,
+        }
+        calls = []
+        monkeypatch.setattr("chapgas.cli.run", lambda *args, **kwargs: calls.append(args))
+        assert main(["oracle", "--config", write_config(tmp_path, payload)]) == 2
+        captured = capsys.readouterr()
+        assert calls == []
+        assert captured.out == ""
+        # the message the locators give after a march to t_end
+        p = make_problem(
+            payload["rho_l"], payload["u_l"], payload["rho_r"], payload["u_r"],
+            a=payload["A"], alpha=payload["alpha"], beta=payload["beta"],
+        )
+        cfg = FvConfig(problem=p, x_lo=-2.0, x_hi=2.0, n_cells=2000, t_end=1.0)
+        with pytest.raises(WindowOutOfDomain) as err:
+            wave_offsets(replace(init_state(cfg), t=1.0), solve(p))
+        assert captured.err == f"error: WindowOutOfDomain: {err.value}\n"
 
     def test_zero_gate_settings_are_accepted(self, tmp_path):
         payload = {
