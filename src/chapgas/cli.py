@@ -31,16 +31,7 @@ from functools import cache
 import numpy as np
 
 from .errors import ChapgasError, DensityOutOfRange, NonFiniteInput, ValidationError
-from .fv import (
-    FvConfig,
-    compare_to_exact,
-    delta_mass_window,
-    grid,
-    measure_delta_mass,
-    offset_windows,
-    run,
-    wave_offsets,
-)
+from .fv import FvConfig, compare_to_exact, gate_cells, measure_delta_mass, run, wave_offsets
 from .limits import default_sweep, limit_study
 from .states import GasParams, PrimState, RiemannProblem, pressureless_case
 from .verify import checks_pass, fan_checks
@@ -162,7 +153,11 @@ def _number(cfg: dict, key: str, default=_REQUIRED) -> float:
         if default is _REQUIRED:
             raise ValidationError(f"config key '{key}' is required")
         return float(default)
-    val = cfg[key]
+    return _finite(cfg[key], key)
+
+
+def _finite(val, key: str) -> float:
+    """A value of config key `key`, or an entry of its list, as a finite float."""
     if isinstance(val, bool) or not isinstance(val, (int, float)):
         raise ValidationError(f"config key '{key}' must be a number")
     # json reads 1e400 as inf and accepts NaN; a huge integer overflows float()
@@ -256,7 +251,7 @@ def cmd_sample(cfg: dict, out: str | None) -> int:
     times = cfg.get("times")
     if not isinstance(times, list) or not times:
         raise ValidationError("config key 'times' must be a nonempty list")
-    times = [_number({"times": t}, "times") for t in times]
+    times = [_finite(t, "times") for t in times]
     if not all(t > 0.0 for t in times):
         raise ValidationError("every entry of 'times' must be a positive number")
     loc_tol = None
@@ -331,7 +326,7 @@ def cmd_oracle(cfg: dict, out: str | None) -> int:
         t_end=t_end,
         cfl=_number(cfg, "cfl", 0.45),
     )
-    # every gate setting is checked before the march, which dominates the cost
+    # gate settings and gate cells are checked before the march, the main cost
     exclusion = _nonnegative(cfg, "exclusion", 0.05)
     delta_window = _number(cfg, "delta_window", 0.1)
     if not delta_window > 0.0:
@@ -340,15 +335,10 @@ def cmd_oracle(cfg: dict, out: str | None) -> int:
     plateau_rtol = _nonnegative(cfg, "plateau_rtol", 0.02)
     delta_mass_rtol = _nonnegative(cfg, "delta_mass_rtol", 0.15)
     l1_max = _nonnegative(cfg, "l1_max") if "l1_max" in cfg else None
-    # measure_delta_mass and wave_offsets take their windows on the same
-    # cells after the march
-    x = grid(fv_cfg)[0]
-    if fan.delta is not None:
-        delta_mass_window(x, fan.delta.path.position(t_end), delta_window)
-    offset_windows(x, fan, t_end)
+    windows, mass_cells, plateau_cells = gate_cells(fv_cfg, fan, delta_window)
 
     state = run(fv_cfg)
-    offsets = wave_offsets(state, fan)
+    offsets = wave_offsets(state, windows)
     offsets_ok = all(
         abs(cells) <= max_offset for _, method, cells in offsets if method == "jump"
     )
@@ -378,23 +368,17 @@ def cmd_oracle(cfg: dict, out: str | None) -> int:
         payload["l1_ok"] = l1_ok
         gates.append(l1_ok)
 
-    if fan.star is not None:
-        # the plateau lies between the two waves around the star segment
-        k = fan.states.index(fan.star)
-        lo, hi = (wave.path.position(t_end) for wave in fan.waves[k - 1 : k + 1])
-        width = hi - lo
-        x = state.x
-        sel = (x >= lo + 0.3 * width) & (x <= hi - 0.3 * width)
-        cells = int(sel.sum())
-        if cells == 0:
+    if plateau_cells is not None:
+        plateau = state.rho[plateau_cells]
+        if plateau.size == 0:
             payload["plateau"] = {"cells": 0, "ok": False}
             gates.append(False)
         else:
-            mean = float(state.rho[sel].mean())
+            mean = float(plateau.mean())
             rel = abs(mean - fan.star.rho) / fan.star.rho
             ok = rel <= plateau_rtol
             payload["plateau"] = {
-                "cells": cells,
+                "cells": plateau.size,
                 "value": mean,
                 "expected": fan.star.rho,
                 "rel_err": rel,
@@ -403,9 +387,8 @@ def cmd_oracle(cfg: dict, out: str | None) -> int:
             }
             gates.append(ok)
 
-    if fan.delta is not None:
-        center = fan.delta.path.position(t_end)
-        measured = measure_delta_mass(state, center, delta_window)
+    if mass_cells is not None:
+        measured = measure_delta_mass(state, mass_cells)
         expected = fan.delta.weight(t_end)
         rel = abs(measured - expected) / max(abs(expected), 1e-30)
         ok = rel <= delta_mass_rtol
@@ -432,7 +415,7 @@ def cmd_limit(cfg: dict, out: str | None) -> int:
     if sweep is not None:
         if not isinstance(sweep, list):
             raise ValidationError("config key 'sweep' must be a list of amplitudes")
-        sweep = [_number({"a": a}, "a") for a in sweep]
+        sweep = [_finite(a, "sweep") for a in sweep]
     else:
         sweep = default_sweep(p, n=_count(cfg, "sweep_points", 12))
     rep = limit_study(p, sweep=sweep)

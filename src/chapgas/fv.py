@@ -408,33 +408,38 @@ def run(cfg: FvConfig, max_steps: int = 10_000_000) -> FvState:
     return state
 
 
-def delta_mass_window(x: np.ndarray, center: float, halfwidth: float) -> tuple[int, int]:
-    """First and last index of the cells x with |x - center| <= halfwidth.
+def _cells(mask: np.ndarray) -> slice:
+    """The cells where mask holds, as a slice; they must lie in one run."""
+    idx = np.flatnonzero(mask)
+    return slice(int(idx[0]), int(idx[-1]) + 1) if idx.size else slice(0, 0)
+
+
+def delta_mass_window(x: np.ndarray, center: float, halfwidth: float) -> slice:
+    """The cells x with |x - center| <= halfwidth, as a slice of the grid.
 
     Raises WindowOutOfDomain unless the window holds a cell and the two
-    cells adjacent to it, which give the background, lie inside the domain.
+    cells adjacent to it, which give measure_delta_mass its background, lie
+    inside the domain.
     """
     if halfwidth <= 0.0:
         raise WindowOutOfDomain("window halfwidth must be positive")
-    idx = np.flatnonzero(np.abs(x - center) <= halfwidth)
-    if idx.size == 0:
+    cells = _cells(np.abs(x - center) <= halfwidth)
+    if cells.start == cells.stop:
         raise WindowOutOfDomain("window contains no cells")
-    lo, hi = int(idx[0]), int(idx[-1])
-    if lo - 1 < 0 or hi + 1 >= x.size:
+    if cells.start == 0 or cells.stop == x.size:
         raise WindowOutOfDomain("window (plus background cells) leaves the domain")
-    return lo, hi
+    return cells
 
 
-def measure_delta_mass(state: FvState, center: float, halfwidth: float) -> float:
-    """Mass inside |x - center| <= halfwidth above the local background.
+def measure_delta_mass(state: FvState, cells: slice) -> float:
+    """Mass in the cells of a delta_mass_window above the local background.
 
     The background density is the mean of the two cells adjacent to the
-    window, times the window length. The window is delta_mass_window's.
+    window, times the window length.
     """
-    lo, hi = delta_mass_window(state.x, center, halfwidth)
-    dx = state.dx
-    raw = float(np.sum(state.rho[lo : hi + 1])) * dx
-    background = 0.5 * (state.rho[lo - 1] + state.rho[hi + 1]) * (hi - lo + 1) * dx
+    dx, rho = state.dx, state.rho
+    raw = float(np.sum(rho[cells])) * dx
+    background = 0.5 * (rho[cells.start - 1] + rho[cells.stop]) * (cells.stop - cells.start) * dx
     return raw - float(background)
 
 
@@ -451,70 +456,78 @@ def compare_to_exact(state: FvState, fan: WaveFan, exclusion: float) -> float:
     return float(np.sum(np.abs(state.rho[keep] - rho_exact[keep])) * state.dx)
 
 
-def _window(x: np.ndarray, x_target: float, halfwidth: float):
-    idx = np.flatnonzero(np.abs(x - x_target) <= halfwidth)
-    if idx.size < 5:
-        raise WindowOutOfDomain("search window too small or outside the grid")
-    return int(idx[0]), int(idx[-1])
-
-
-def locate_jump(state: FvState, x_target: float, halfwidth: float) -> float:
-    """Interface with the steepest density difference near x_target."""
-    lo, hi = _window(state.x, x_target, halfwidth)
-    seg = state.rho[lo : hi + 1]
-    k = int(np.argmax(np.abs(np.diff(seg))))
-    return float(state.x[lo + k] + 0.5 * state.dx)
-
-
-def locate_peak(state: FvState, x_target: float, halfwidth: float) -> float:
-    """Cell with the largest density near x_target (delta spike)."""
-    lo, hi = _window(state.x, x_target, halfwidth)
-    k = int(np.argmax(state.rho[lo : hi + 1]))
-    return float(state.x[lo + k])
-
-
 def offset_windows(x: np.ndarray, fan: WaveFan, t: float):
-    """The waves that wave_offsets locates on the cell centres x at time t,
-    as (label, method, position, halfwidth) quadruples.
+    """The waves that wave_offsets locates on the cell centres x, each with
+    the cells it searches, as (wave, cells) pairs; cells is a slice of the
+    grid.
 
-    Jumps (shocks and contacts) are located by the steepest density
-    difference, the delta spike by the density peak. Rarefaction edges are
-    omitted: the scheme smears a slope kink into a transition wider than the
-    fan's own curvature, so no gradient-based locator applies; the profile
-    comparison covers them. Waves with no density jump (constant data still
-    has a formal contact) carry no locatable signal and are omitted as well.
-    Raises WindowOutOfDomain when a search window holds fewer than five
-    cells, so a run on a grid that cannot hold a window fails before it
-    marches.
+    A wave is located where the densities the fan stores on its two sides
+    differ (a vacuum counts as 0), so not a contact of constant data: a jump
+    (shock or contact) by the steepest density difference, the delta spike
+    by the density peak. Rarefaction edges are omitted: the scheme smears a
+    slope kink into a transition wider than the fan's own curvature, so no
+    gradient-based locator applies; the profile comparison covers them. A
+    window is centred on the wave's position at t, with a half-width of 0.45
+    times the gap to the nearest other wave, at most 15% of the domain and
+    at least five cells. Raises WindowOutOfDomain when a window holds fewer
+    than five cells.
     """
     positions = [wave.path.position(t) for wave in fan.waves]
+    rho = [0.0 if seg is None else seg.rho for seg in fan.states]
     span = float(x[-1] - x[0])
     dx = float(x[1] - x[0])
     out = []
     for k, (wave, pos) in enumerate(zip(fan.waves, positions)):
-        if wave.kind in ("head", "tail"):
+        left, right = rho[k], rho[k + 1]
+        if wave.kind in ("head", "tail") or (
+            wave.kind != "delta" and abs(right - left) <= 1e-9 * max(1.0, left, right)
+        ):
             continue
-        if wave.kind != "delta":
-            eps = 1e-9 * max(1.0, abs(pos))
-            sides = _profile(fan, np.array([pos - eps, pos + eps]), t)[0]
-            if abs(sides[1] - sides[0]) <= 1e-9 * max(1.0, sides[0], sides[1]):
-                continue
         gaps = [abs(pos - q) for j, q in enumerate(positions) if j != k]
         halfwidth = min(gaps) * 0.45 if gaps else 0.15 * span
         halfwidth = max(5.0 * dx, min(halfwidth, 0.15 * span))
-        _window(x, pos, halfwidth)
-        out.append((wave.label, "peak" if wave.kind == "delta" else "jump", pos, halfwidth))
+        cells = _cells(np.abs(x - pos) <= halfwidth)
+        if cells.stop - cells.start < 5:
+            raise WindowOutOfDomain("search window too small or outside the grid")
+        out.append((wave, cells))
     return out
 
 
-def wave_offsets(state: FvState, fan: WaveFan):
-    """Signed located-minus-exact distance, in cells, per locatable wave.
+def wave_offsets(state: FvState, windows):
+    """Signed located-minus-exact distance, in cells, per window of
+    offset_windows, as (label, method, cells) triples.
 
-    Returns (label, method, cells) triples for the waves and windows of
-    offset_windows at the state's time.
+    A jump is located at the interface with the steepest density difference
+    in its window, a delta at the cell with the largest density; each is
+    measured against the wave's position at the state's time.
     """
+    dx, x = state.dx, state.x
     out = []
-    for label, method, pos, halfwidth in offset_windows(state.x, fan, state.t):
-        locate = locate_peak if method == "peak" else locate_jump
-        out.append((label, method, (locate(state, pos, halfwidth) - pos) / state.dx))
+    for wave, cells in windows:
+        rho = state.rho[cells]
+        if wave.kind == "delta":
+            method, found = "peak", x[cells.start + np.argmax(rho)]
+        else:
+            method, found = "jump", x[cells.start + np.argmax(np.abs(np.diff(rho)))] + 0.5 * dx
+        out.append((wave.label, method, float(found - wave.path.position(state.t)) / dx))
     return out
+
+
+def gate_cells(cfg: FvConfig, fan: WaveFan, delta_window: float):
+    """The cells the oracle's gates read at t_end, on cfg's grid: the pairs
+    of offset_windows, the delta_mass_window of half-width delta_window (None
+    without a delta) and the plateau, the middle 40% of the star segment
+    (None without a star state; it may hold no cell). Raises
+    WindowOutOfDomain as delta_mass_window and offset_windows do."""
+    x, t = grid(cfg)[0], cfg.t_end
+    delta = plateau = None
+    if fan.delta is not None:
+        delta = delta_mass_window(x, fan.delta.path.position(t), delta_window)
+    offsets = offset_windows(x, fan, t)
+    if fan.star is not None:
+        # the plateau lies between the two waves around the star segment
+        k = fan.states.index(fan.star)
+        lo, hi = (wave.path.position(t) for wave in fan.waves[k - 1 : k + 1])
+        width = hi - lo
+        plateau = _cells((x >= lo + 0.3 * width) & (x <= hi - 0.3 * width))
+    return offsets, delta, plateau

@@ -21,6 +21,7 @@ from chapgas import (
     concentration_integrals,
     entropy_check,
     grh_residual,
+    gate_cells,
     limit_study,
     make_delta_wave,
     measure_delta_mass,
@@ -249,10 +250,10 @@ def test_criterion_5_fv_oracle_agreement():
     for name, p, x_lo, x_hi in position_cases:
         fan = solve(p)
         assert fan.variant == name
-        state = run(
-            FvConfig(problem=p, x_lo=x_lo, x_hi=x_hi, n_cells=2000, t_end=1.0)
-        )
-        for _, method, cells in wave_offsets(state, fan):
+        cfg = FvConfig(problem=p, x_lo=x_lo, x_hi=x_hi, n_cells=2000, t_end=1.0)
+        windows = gate_cells(cfg, fan, 0.1)[0]
+        state = run(cfg)
+        for _, method, cells in wave_offsets(state, windows):
             if method == "jump":
                 worst_cells = max(worst_cells, abs(cells))
         if name != "two_contacts_vacuum":
@@ -278,8 +279,9 @@ def test_criterion_5_fv_oracle_agreement():
         make_problem(1.0, 1.0, 1.0, -1.0, a=0.25),
     ):
         fan = solve(p)
-        state = run(FvConfig(problem=p, x_lo=-2.0, x_hi=2.0, n_cells=4000, t_end=1.0))
-        got = measure_delta_mass(state, fan.delta.path.position(1.0), 0.1)
+        cfg = FvConfig(problem=p, x_lo=-2.0, x_hi=2.0, n_cells=4000, t_end=1.0)
+        window = gate_cells(cfg, fan, 0.1)[1]
+        got = measure_delta_mass(run(cfg), window)
         expected = fan.delta.weight(1.0)
         assert expected == 2.0
         worst_mass_rel = max(worst_mass_rel, abs(got - expected) / expected)

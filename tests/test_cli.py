@@ -6,7 +6,6 @@ import os
 import subprocess
 import sys
 from collections import defaultdict
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -14,9 +13,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from chapgas import DensityOutOfRange, RiemannProblem, WindowOutOfDomain, cli, states
+from chapgas import DensityOutOfRange, RiemannProblem, WindowOutOfDomain, cli, fv, states, waves
 from chapgas.cli import main
-from chapgas.fv import FvConfig, init_state, wave_offsets
+from chapgas.fv import FvConfig, gate_cells
 from chapgas.waves import SampleKind, evaluate, solve
 from helpers import loads_strict, make_problem
 
@@ -521,15 +520,37 @@ class TestOracle:
         captured = capsys.readouterr()
         assert calls == []
         assert captured.out == ""
-        # the message the locators give after a march to t_end
+        # the message of the window decision on the default grid at t_end
         p = make_problem(
             payload["rho_l"], payload["u_l"], payload["rho_r"], payload["u_r"],
             a=payload["A"], alpha=payload["alpha"], beta=payload["beta"],
         )
         cfg = FvConfig(problem=p, x_lo=-2.0, x_hi=2.0, n_cells=2000, t_end=1.0)
         with pytest.raises(WindowOutOfDomain) as err:
-            wave_offsets(replace(init_state(cfg), t=1.0), solve(p))
+            gate_cells(cfg, solve(p), 0.1)
         assert captured.err == f"error: WindowOutOfDomain: {err.value}\n"
+
+    def test_empty_plateau_fails_after_the_march(self, tmp_path, monkeypatch):
+        # the middle 40% of this 200-cell star segment holds no cell centre:
+        # the plateau gate fails, and the window is not refused before the march
+        payload = {
+            "rho_l": 8.535460610760541,
+            "u_l": 1.1514942895661626,
+            "rho_r": 5.017851847681698,
+            "u_r": 1.1161249689344999,
+            "A": 0.12326344759369899,
+            "alpha": 0.3,
+            "beta": -1.0,
+            "n_cells": 200,
+            "x_lo": -0.9297783870167062,
+            "x_hi": 1.545903355951206,
+        }
+        marched, march = [], cli.run
+        monkeypatch.setattr(cli, "run", lambda cfg: marched.append(cfg) or march(cfg))
+        got = run_json(tmp_path, "oracle", payload, expect=3)
+        assert len(marched) == 1
+        assert got["plateau"] == {"cells": 0, "ok": False}
+        assert got["passed"] is False
 
     def test_zero_gate_settings_are_accepted(self, tmp_path):
         payload = {
@@ -591,6 +612,31 @@ class TestLimit:
         payload = dict(DELTA_PROBLEM, sweep=[0.1, 0.2])
         cfg = write_config(tmp_path, payload)
         assert main(["limit", "--config", cfg]) == 2
+
+
+class TestListEntries:
+    """An entry of the sample times or of the limit sweep is read as a
+    config number is, and an error names the user's key."""
+
+    @pytest.mark.parametrize(
+        "command, key, literal, error, reason",
+        [
+            ("limit", "sweep", '[0.4, "x"]', "ValidationError", "must be a number"),
+            ("limit", "sweep", "[0.4, 1e400]", "NonFiniteInput", "must be finite"),
+            ("sample", "times", '[0.5, "x"]', "ValidationError", "must be a number"),
+            ("sample", "times", "[0.5, 1e400]", "NonFiniteInput", "must be finite"),
+        ],
+    )
+    def test_bad_entry_names_its_key(self, tmp_path, capsys, command, key, literal, error, reason):
+        payload = dict(DELTA_PROBLEM, x_min=-1.0, x_max=1.0, x_count=5, times=[1.0])
+        payload[key] = "@"
+        # json.dumps cannot write 1e400 itself: it would write Infinity
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(payload).replace('"@"', literal), encoding="utf-8")
+        assert main([command, "--config", str(cfg)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {error}: config key '{key}' {reason}\n"
 
 
 class TestArgv:
@@ -880,3 +926,50 @@ class TestRegionDecidedOnce:
         # the problem, its twelve amplitudes and, for compressive data, A = 0
         assert set(per_command["limit"]) == {13, 14}
         assert sum(per_command["limit"]) / len(per_command["limit"]) == 13.5
+
+
+class TestWindowsDecidedOnce:
+    """oracle decides every cell range its gates read once, on the grid and
+    before the march: each located wave's search window, the delta-mass
+    window and the plateau. After the march the gates read those cells and
+    search nothing, and the exact profile is sampled only for the L1 error.
+    Each window is one np.flatnonzero over the cell centres."""
+
+    @pytest.mark.parametrize(
+        "payload, windows",
+        [
+            # the delta's offset window and its mass window
+            (dict(DELTA_PROBLEM, n_cells=800), 2),
+            # the S1 and J offset windows and the plateau
+            (dict(REGION2_PROBLEM, x_lo=-1.5, x_hi=2.5, n_cells=500), 3),
+        ],
+        ids=["delta", "shock_contact"],
+    )
+    def test_one_search_per_window_before_the_march(self, tmp_path, monkeypatch, payload, windows):
+        searches, profiled, marched = [], [], []
+        flatnonzero, profile, march = np.flatnonzero, waves._profile, cli.run
+
+        def counting_flatnonzero(a):
+            if sys._getframe(1).f_globals["__name__"] == "chapgas.fv":
+                searches.append("after" if marched else "before")
+            return flatnonzero(a)
+
+        def counting_profile(*args):
+            profiled.append(sys._getframe(1).f_code.co_name)
+            return profile(*args)
+
+        def marking_run(cfg):
+            state = march(cfg)
+            marched.append(cfg)
+            return state
+
+        monkeypatch.setattr(np, "flatnonzero", counting_flatnonzero)
+        monkeypatch.setattr(fv, "_profile", counting_profile)
+        monkeypatch.setattr(waves, "_profile", counting_profile)
+        monkeypatch.setattr(cli, "run", marking_run)
+        got = run_json(tmp_path, "oracle", payload)
+        assert len(marched) == 1
+        assert searches == ["before"] * windows
+        assert profiled == ["compare_to_exact"]
+        gated = [got["delta_mass"], got["plateau"]]
+        assert len(got["offsets"]) + sum(g is not None for g in gated) == windows

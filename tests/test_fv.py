@@ -16,6 +16,7 @@ from chapgas import (
     ValidationError,
     WindowOutOfDomain,
     compare_to_exact,
+    gate_cells,
     init_state,
     measure_delta_mass,
     run,
@@ -24,7 +25,9 @@ from chapgas import (
     wave_offsets,
 )
 import chapgas.fv as fv
-from chapgas.fv import grid
+from chapgas.fv import delta_mass_window, grid, offset_windows
+from chapgas.states import ParabolicPath
+from chapgas.waves import Wave
 from helpers import make_problem
 
 REGION1 = make_problem(1.0, 0.0, 0.5, 1.2, a=1.0)
@@ -43,6 +46,20 @@ def synthetic_state(profile, n=200, lo=-1.0, hi=1.0):
     x = lo + (np.arange(n) + 0.5) * dx
     rho = profile(x)
     return FvState(x=x, rho=rho, m=np.zeros_like(rho), t=1.0)
+
+
+def located(state, kind, center, halfwidth):
+    """Where wave_offsets finds a wave of this kind that sits at center at
+    the state's time, searching the cells within halfwidth of center."""
+    idx = np.flatnonzero(np.abs(state.x - center) <= halfwidth)
+    wave = Wave("W", kind, ParabolicPath(center / state.t, 0.0))
+    [(_, _, cells)] = wave_offsets(state, [(wave, slice(idx[0], idx[-1] + 1))])
+    return center + cells * state.dx
+
+
+def offsets_at_state(state, fan):
+    """wave_offsets on the windows offset_windows gives at the state's time."""
+    return wave_offsets(state, offset_windows(state.x, fan, state.t))
 
 
 class TestConfigValidation:
@@ -161,71 +178,107 @@ class TestCompareToExact:
 class TestDeltaMass:
     def test_zero_before_any_evolution(self):
         state = init_state(config(PLESS_DELTA, n_cells=400))
-        assert measure_delta_mass(state, 0.0, 0.1) == pytest.approx(0.0, abs=1e-12)
+        cells = delta_mass_window(state.x, 0.0, 0.1)
+        assert measure_delta_mass(state, cells) == pytest.approx(0.0, abs=1e-12)
 
     @pytest.mark.parametrize(
         "p", [PLESS_DELTA, CHAP_DELTA], ids=["pressureless", "chaplygin"]
     )
     def test_concentrated_mass_matches_weight(self, p):
         fan = solve(p)
-        state = run(config(p, n_cells=2000))
-        got = measure_delta_mass(state, fan.delta.path.position(1.0), 0.1)
+        cfg = config(p, n_cells=2000)
+        cells = gate_cells(cfg, fan, 0.1)[1]
+        got = measure_delta_mass(run(cfg), cells)
         assert got == pytest.approx(fan.delta.weight(1.0), rel=0.15)
 
+    def test_background_from_the_two_adjacent_cells(self):
+        rho = np.ones(200)
+        rho[4], rho[5:10], rho[10] = 2.0, 10.0, 4.0
+        state = synthetic_state(lambda x: rho)
+        # 5 cells of 10 over a background of (2 + 4) / 2
+        assert measure_delta_mass(state, slice(5, 10)) == pytest.approx(35.0 * state.dx)
+
     def test_window_guards(self):
-        state = init_state(config(PLESS_DELTA, n_cells=400))
+        x = init_state(config(PLESS_DELTA, n_cells=400)).x
         with pytest.raises(WindowOutOfDomain):
-            measure_delta_mass(state, 0.0, -0.1)
+            delta_mass_window(x, 0.0, -0.1)
         with pytest.raises(WindowOutOfDomain):
-            measure_delta_mass(state, 5.0, 0.1)
+            delta_mass_window(x, 5.0, 0.1)
         with pytest.raises(WindowOutOfDomain):
-            measure_delta_mass(state, -2.0, 0.05)
+            delta_mass_window(x, -2.0, 0.05)
 
 
 class TestLocators:
     def test_jump_found_at_steepest_interface(self):
         state = synthetic_state(lambda x: np.where(x < 0.105, 2.0, 1.0))
-        found = fv.locate_jump(state, 0.08, 0.2)
+        found = located(state, "contact", 0.08, 0.2)
         assert abs(found - 0.105) <= 0.5 * state.dx
 
     def test_peak_found_at_spike(self):
         state = synthetic_state(lambda x: 1.0 + 50.0 * (np.abs(x - 0.3) < 0.01))
-        assert fv.locate_peak(state, 0.25, 0.2) == pytest.approx(0.3, abs=state.dx)
+        assert located(state, "delta", 0.25, 0.2) == pytest.approx(0.3, abs=state.dx)
 
     def test_window_too_small(self):
-        state = synthetic_state(lambda x: np.ones_like(x))
-        with pytest.raises(WindowOutOfDomain):
-            fv.locate_jump(state, 0.0, 0.01)
+        # the contact's window reaches 0.15 of the domain to each side: at
+        # 1.27 it holds three cells at the grid's edge, at 5.0 none
+        x = synthetic_state(lambda x: np.ones_like(x)).x
+        for u in (1.27, 5.0):
+            with pytest.raises(WindowOutOfDomain):
+                offset_windows(x, solve(make_problem(2.0, u, 1.0, u, a=0.5)), 1.0)
 
 
 class TestWaveOffsets:
     def test_shock_contact_within_gate(self):
         state = run(config(REGION2, n_cells=2000, x_lo=-1.5, x_hi=2.5))
-        offsets = wave_offsets(state, solve(REGION2))
+        offsets = offsets_at_state(state, solve(REGION2))
         assert [label for label, _, _ in offsets] == ["S1", "J"]
         assert all(method == "jump" for _, method, _ in offsets)
         assert all(abs(cells) <= 3.0 for _, _, cells in offsets)
 
     def test_rarefaction_edges_omitted(self):
         state = run(config(REGION1, n_cells=500))
-        offsets = wave_offsets(state, solve(REGION1))
+        offsets = offsets_at_state(state, solve(REGION1))
         assert [label for label, _, _ in offsets] == ["J"]
 
     def test_delta_tagged_as_peak(self):
         state = run(config(CHAP_DELTA, n_cells=500))
-        offsets = wave_offsets(state, solve(CHAP_DELTA))
+        offsets = offsets_at_state(state, solve(CHAP_DELTA))
         assert [(label, method) for label, method, _ in offsets] == [("Sdelta", "peak")]
 
     def test_vacuum_contacts_land_exactly(self):
         state = run(config(VACUUM, n_cells=500))
-        offsets = wave_offsets(state, solve(VACUUM))
+        offsets = offsets_at_state(state, solve(VACUUM))
         assert [label for label, _, _ in offsets] == ["J1", "J2"]
         assert all(abs(cells) <= 3.0 for _, _, cells in offsets)
 
     def test_zero_amplitude_contact_omitted(self):
         p = make_problem(2.0, 0.7, 2.0, 0.7, a=0.5)
         state = run(config(p, n_cells=200))
-        assert wave_offsets(state, solve(p)) == []
+        assert offsets_at_state(state, solve(p)) == []
+
+
+class TestGateCells:
+    def test_cells_of_a_shock_contact_fan(self):
+        cfg = config(REGION2, n_cells=1000, x_lo=-1.5, x_hi=2.5)
+        fan = solve(REGION2)
+        windows, delta, plateau = gate_cells(cfg, fan, 0.1)
+        x = grid(cfg)[0]
+        lo, hi = fan.path("S1").position(1.0), fan.path("J").position(1.0)
+        mid = (x >= lo + 0.3 * (hi - lo)) & (x <= hi - 0.3 * (hi - lo))
+        assert np.array_equal(np.arange(x.size)[plateau], np.flatnonzero(mid))
+        assert delta is None
+        assert windows == offset_windows(x, fan, 1.0)
+        assert [wave.label for wave, _ in windows] == ["S1", "J"]
+
+    def test_cells_of_a_delta_fan(self):
+        cfg = config(CHAP_DELTA, n_cells=800)
+        fan = solve(CHAP_DELTA)
+        windows, delta, plateau = gate_cells(cfg, fan, 0.1)
+        x = grid(cfg)[0]
+        near = np.abs(x - fan.delta.path.position(1.0)) <= 0.1
+        assert np.array_equal(np.arange(x.size)[delta], np.flatnonzero(near))
+        assert plateau is None
+        assert [(wave.label, wave.kind) for wave, _ in windows] == [("Sdelta", "delta")]
 
 
 class TestPlateau:
