@@ -153,8 +153,7 @@ def _ordering_rows(rows: list[CheckRow], fan: WaveFan, scale: float) -> None:
 
 def _battery_rows(rows: list[CheckRow], fan: WaveFan, quad_n: int, scale: float) -> None:
     tol = 1e-6 * scale**3
-    for i, psi in enumerate(residual_battery(fan)):
-        r1, r2 = weak_residual(fan, psi, quad_n=quad_n)
+    for i, (r1, r2) in enumerate(weak_residual(fan, residual_battery(fan), quad_n=quad_n)):
         rows.append(_absrow(f"weak.psi{i}.mass", r1, tol))
         rows.append(_absrow(f"weak.psi{i}.momentum", r2, tol))
 

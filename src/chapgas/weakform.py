@@ -24,13 +24,12 @@ antiderivative of b and s = (x - x0)/rx running over [s_lo, s_hi],
     int psi dx = rx bt [B(s_hi) - B(s_lo)],
     int psi_t dx = rx (bt' / rt) [B(s_hi) - B(s_lo)].
 
-All constant strips of all panels are one vectorized expression over n
-nodes per panel and strip. B comes from a table of 512 cells, built on
-first use: a strip's interval is whole cells from the table plus a piece
-at each end by Gauss nodes, and an interval inside one cell is one piece,
-so a strip thinner than a cell keeps its relative accuracy. A strip's
-width is the difference of its two clipped wave positions, the same width
-a grid of nodes across the strip would see. A vacuum strip adds nothing.
+B comes from a table of 512 cells, built on first use: a strip's interval
+is whole cells from the table plus a piece at each end by Gauss nodes, and
+an interval inside one cell is one piece, so a strip thinner than a cell
+keeps its relative accuracy. A strip's width is the difference of its two
+clipped wave positions, the same width a grid of nodes across the strip
+would see. A vacuum strip adds nothing.
 
 A rarefaction interior is integrated on an n x n Gauss grid per panel,
 its states from waves._profile. Every n x n pass writes, with out=, into
@@ -41,17 +40,19 @@ sums keep their bits. A set outlives the call: each thread keeps its own
 of its last two orders up to 256, at most 8.4 MB per thread (1.3 MB for
 orders 64 and 128). A higher order gets a fresh set on every call.
 
-The bump factors are evaluated once per call, each pair (b, b') with one
-exp: the t factors on every panel's nodes, the x factors on a rarefaction
-strip's grid and on the delta's trajectory points. A pair whose every
-argument lies inside the support is taken on the whole array; otherwise
-only the inside entries are computed.
+A call takes all its bumps in one pass: their panels are the rows of one
+ragged axis, each row with its own bump's (x0, t0, rx, rt), and the t
+factors, the wave positions, the constant strips of all panels and the
+delta line are one expression each, every pair (b, b') with one exp. A
+bump's sums run over a contiguous copy of its own rows, its delta panel
+sums added in order, so it gets the bits it would get alone.
 """
 
 from __future__ import annotations
 
 import math
 import threading
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cache, lru_cache
 
@@ -61,11 +62,18 @@ from .errors import NonFiniteInput, UnsupportedQuadOrder, ValidationError
 from .waves import WaveFan, _profile
 
 
-def _bump_inside(s):
-    """(b, b') on an array whose every entry has |s| < 1, with one exp."""
-    g = 1.0 - s * s
-    b = np.exp(-1.0 / g)
-    return b, b * (-2.0 * s / (g * g))
+def _bump_inside(s, g=None, b=None):
+    """(b, b') for every |s| < 1 by g = 1 - s^2, b = exp(-1/g) and
+    b' = b (-2 s / g^2), in that order, with one exp; b' is written over s,
+    and g and b, if given, are arrays of the shape of s to work in."""
+    g = np.multiply(s, s, out=np.empty_like(s) if g is None else g)
+    np.subtract(1.0, g, out=g)
+    b = np.divide(-1.0, g, out=np.empty_like(s) if b is None else b)
+    np.exp(b, out=b)
+    np.multiply(-2.0, s, out=s)
+    np.multiply(g, g, out=g)
+    np.divide(s, g, out=s)
+    return b, np.multiply(b, s, out=s)
 
 
 def _bump_pair(s):
@@ -75,7 +83,7 @@ def _bump_pair(s):
     every |s| < 1 and over the inside entries otherwise; both vanish to all
     orders at |s| = 1 and are zero outside.
     """
-    s = np.asarray(s, dtype=float)
+    s = np.array(s, dtype=float)  # a copy: _bump_inside writes over it
     inside = np.abs(s) < 1.0
     if inside.all():
         return _bump_inside(s)
@@ -194,20 +202,18 @@ def _bump_integrals(lo, width):
     # the pieces [lo, lo + first] and [E_{i_hi}, E_{i_hi} + last], their
     # sizes taken from width, not from the rounded hi; last is 0 when lo
     # and hi share a cell
-    size = np.empty((2,) + lo.shape)
-    first, last = size
-    np.minimum(width, edges[i_lo + 1] - lo, out=first)
-    np.subtract(width - first, edges[i_hi] - edges[j], out=last)
-    s = np.stack((lo, edges[i_hi]))[..., None] + size[..., None] * frac
-    # a piece of size 0 puts its nodes on its end, which can be +-1; b and
-    # b' are below 1e-216 within _RIM of +-1, so the nodes there move in
-    np.minimum(np.maximum(s, _RIM - 1.0, out=s), 1.0 - _RIM, out=s)
-    b, db = _bump_inside(s)
-    pb, pdb = size * (b @ half_w), size * (db @ half_w)
-    return (
-        pb[0] + (cum[i_hi] - cum[j]) + pb[1],
-        pdb[0] + (b_edges[i_hi] - b_edges[j]) + pdb[1],
-    )
+    first = np.minimum(width, edges[i_lo + 1] - lo)
+    last = (width - first) - (edges[i_hi] - edges[j])
+    pieces = []
+    for start, size in ((lo, first), (edges[i_hi], last)):
+        s = start[..., None] + size[..., None] * frac
+        # a piece of size 0 puts its nodes on its end, which can be +-1; b
+        # and b' are below 1e-216 within _RIM of +-1, so the nodes there move in
+        np.minimum(np.maximum(s, _RIM - 1.0, out=s), 1.0 - _RIM, out=s)
+        pieces.append([size * (f @ half_w) for f in _bump_inside(s)])
+        del s  # s holds this piece's b' now; free it before the next piece is made
+    (pb0, pdb0), (pb1, pdb1) = pieces
+    return pb0 + (cum[i_hi] - cum[j]) + pb1, pdb0 + (b_edges[i_hi] - b_edges[j]) + pdb1
 
 
 class _Work:
@@ -273,13 +279,7 @@ def _strip_sums(ws: _Work, psi: TestFunction, rho, rho_u, mom, mom_u, beta_rho):
     # a monotone row has its extremes at its ends, so the two end columns
     # decide whether every |s| < 1
     if (np.abs(s[:, :: ws.n - 1]) < 1.0).all():
-        np.multiply(s, s, out=p)
-        np.subtract(1.0, p, out=p)  # g = 1 - s^2
-        np.exp(np.divide(-1.0, p, out=b), out=b)
-        np.multiply(-2.0, s, out=s)
-        np.multiply(p, p, out=p)
-        np.divide(s, p, out=s)
-        np.multiply(b, s, out=s)  # b' = b (-2 s / g^2)
+        _bump_inside(s, p, b)
     else:
         b[...], s[...] = _bump_pair(s)
     np.multiply(b, ws.dbt_rt, out=p)  # psi_t
@@ -322,31 +322,40 @@ def _crossing_times(c: float, beta: float, x_edge: float, t_lo: float, t_hi: flo
     return [t for t in hits if t_lo < t < t_hi]
 
 
-def _parts(fan: WaveFan, psi: TestFunction, n: int):
-    """(R1, R2) of fan against psi, in three parts summed over the panels:
-    the constant strips, the rarefaction interiors and the delta line."""
+def _parts(fan: WaveFan, bumps, n: int):
+    """Per bump, (R1, R2) of fan against it in three parts summed over its
+    panels: the constant strips, the rarefaction interiors and the delta
+    line."""
     g = fan.problem.params
     nodes, wts = _gauss(n)
-
-    t_lo, t_hi = psi.t0 - psi.rt, psi.t0 + psi.rt
-    x_lo, x_hi = psi.x0 - psi.rx, psi.x0 + psi.rx
     paths = [wave.path for wave in fan.waves]
 
-    cuts = {t_lo, t_hi}
-    for path in paths:
-        for edge in (x_lo, x_hi):
-            cuts.update(_crossing_times(path.c, g.beta, edge, t_lo, t_hi))
-    panels = np.array(sorted(cuts))
-    ta, tb = panels[:-1, None], panels[1:, None]
+    # the panels of all bumps are the rows of one ragged axis: bump i owns
+    # rows spans[i], and each row carries its bump's (x0, t0, rx, rt)
+    panels, owner, spans = [], [], []
+    for i, psi in enumerate(bumps):
+        t_lo, t_hi = psi.t0 - psi.rt, psi.t0 + psi.rt
+        cuts = {t_lo, t_hi}
+        for path in paths:
+            for edge in (psi.x0 - psi.rx, psi.x0 + psi.rx):
+                cuts.update(_crossing_times(path.c, g.beta, edge, t_lo, t_hi))
+        cuts = sorted(cuts)
+        spans.append((len(panels), len(panels) + len(cuts) - 1))
+        panels += zip(cuts[:-1], cuts[1:])
+        owner += [i] * (len(cuts) - 1)
+    ta, tb = np.reshape(panels, (-1, 2)).T[..., None]
+    bump = np.reshape([(q.x0, q.t0, q.rx, q.rt) for q in bumps], (-1, 4))
+    x0, t0, rx, rt = bump[owner].T[..., None]
     # one row of n time nodes per panel
     tj = 0.5 * (ta + tb) + 0.5 * (tb - ta) * nodes
     wj = 0.5 * (tb - ta) * wts
-    bt, dbt = psi.t_factors(tj)
-    dbt_rt = dbt / psi.rt
+    bt, dbt = _bump_pair((tj - t0) / rt)
+    dbt_rt = dbt / rt
 
     # breakpoints on every node: the support's edges and the wave positions
     # clipped into it; the waves keep their order, so each column runs left
     # to right
+    x_lo, x_hi = x0 - rx, x0 + rx
     x = np.empty((len(paths) + 2,) + tj.shape)
     x[0], x[-1] = x_lo, x_hi
     pos = np.multiply(np.array([path.c for path in paths])[:, None, None], tj, out=x[1:-1])
@@ -357,22 +366,23 @@ def _parts(fan: WaveFan, psi: TestFunction, n: int):
     # k + 1 and holds the state fan.states[k]
     const = [k for k, seg in enumerate(fan.states) if seg is not None]
     lo, hi = x[const], x[[k + 1 for k in const]]
-    dB, db = _bump_integrals(
-        np.minimum(np.maximum((lo - psi.x0) / psi.rx, -1.0), 1.0), (hi - lo) / psi.rx
-    )
-    area = psi.rx * dB  # the strip's integral of b((x - x0)/rx) dx
+    dB, db = _bump_integrals(np.minimum(np.maximum((lo - x0) / rx, -1.0), 1.0), (hi - lo) / rx)
+    area = rx * dB  # the strip's integral of b((x - x0)/rx) dx
     at, ax = wj * dbt_rt, wj * bt  # the t weights times bt'/rt and bt
     rho = np.array([fan.states[k].rho for k in const])[:, None, None]
     u = np.array([fan.states[k].v for k in const])[:, None, None] + g.beta * tj
     rho_u = rho * u
     mom = rho_u - g.A * rho ** (1.0 - g.alpha)
-    constant = (
-        float(np.sum(area * (rho * at) + db * (rho_u * ax))),
-        float(np.sum(area * (mom * at + g.beta * rho * ax) + db * (mom * u * ax))),
+    terms = (
+        area * (rho * at) + db * (rho_u * ax),
+        area * (mom * at + g.beta * rho * ax) + db * (mom * u * ax),
     )
+    # each bump's sum over a contiguous copy of its rows, as it was alone
+    constant = [tuple(float(np.sum(f[:, a:b].copy())) for f in terms) for a, b in spans]
+    del lo, hi, dB, db, area, at, ax, u, rho_u, mom, terms  # freed before the n x n grids
 
     # rarefaction interiors on the 2-D Gauss grid, panel by panel
-    r1 = r2 = 0.0
+    r1, r2 = [0.0] * len(bumps), [0.0] * len(bumps)
     for k in range(1, len(fan.waves)):
         if fan.states[k] is not None or fan.is_vacuum(k):
             continue
@@ -392,31 +402,37 @@ def _parts(fan: WaveFan, psi: TestFunction, n: int):
             ws.dbt_rt[...] = dbt_rt[p][:, None]
             rho_u = rho_col * u_col
             mom = rho_u - g.A * rho_col ** (1.0 - g.alpha)
-            s1, s2 = _strip_sums(ws, psi, rho_col, rho_u, mom, mom * u_col, g.beta * rho_col)
-            r1 += s1
-            r2 += s2
-    rarefaction = (r1, r2)
+            i = owner[p]
+            s1, s2 = _strip_sums(ws, bumps[i], rho_col, rho_u, mom, mom * u_col, g.beta * rho_col)
+            r1[i] += s1
+            r2[i] += s2
+    rarefaction = list(zip(r1, r2))
 
-    r1 = r2 = 0.0
+    delta = [(0.0, 0.0)] * len(bumps)
     if fan.delta is not None:
         d = fan.delta
-        wt = d.weight(tj)
-        ud = d.path.speed(tj)
+        wt, ud = d.weight(tj), d.path.speed(tj)
         # psi.dt, psi.dx and psi.value on the trajectory, from one x-bump
         # pair and the panels' t factors
-        bx, dbx = psi.x_factors(d.path.position(tj))
-        along = bx * dbt_rt + ud * (dbx / psi.rx * bt)
-        # one sum per panel, added in order, as the tensor grid sums them
-        r1 = sum((wj * wt * along).sum(axis=1).tolist())
-        r2 = sum((wj * (wt * ud * along + g.beta * wt * (bx * bt))).sum(axis=1).tolist())
-    return constant, rarefaction, (r1, r2)
+        bx, dbx = _bump_pair((d.path.position(tj) - x0) / rx)
+        along = bx * dbt_rt + ud * (dbx / rx * bt)
+        # one sum per panel, each bump's added in order, as the tensor grid
+        # sums them
+        rows1 = (wj * wt * along).sum(axis=1).tolist()
+        rows2 = (wj * (wt * ud * along + g.beta * wt * (bx * bt))).sum(axis=1).tolist()
+        delta = [(sum(rows1[a:b]), sum(rows2[a:b])) for a, b in spans]
+    return list(zip(constant, rarefaction, delta))
 
 
-def weak_residual(fan: WaveFan, psi: TestFunction, quad_n: int = 64):
+def weak_residual(fan: WaveFan, psi, quad_n: int = 64):
     """Residuals (R1, R2) of the two weak-form identities of fan.problem
-    against psi."""
-    parts = _parts(fan, psi, _check_order(quad_n))
-    return sum(r1 for r1, _ in parts), sum(r2 for _, r2 in parts)
+    against psi, a TestFunction; for a sequence of them, a list of one
+    (R1, R2) per bump, all bumps in one pass."""
+    if isinstance(psi, TestFunction):
+        return weak_residual(fan, [psi], quad_n)[0]
+    if not isinstance(psi, Sequence) or not all(isinstance(b, TestFunction) for b in psi):
+        raise ValidationError("weak_residual takes a TestFunction or a sequence of them")
+    return [tuple(map(sum, zip(*parts))) for parts in _parts(fan, psi, _check_order(quad_n))]
 
 
 def residual_battery(fan: WaveFan):

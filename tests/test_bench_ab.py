@@ -72,7 +72,7 @@ def test_traced_run_without_metrics_fails_the_script(tmp_path, monkeypatch, caps
     # errors/traced, and the script exits 1 after writing the file.
 
     def bench_run(checkout, workload, seed, seconds, trace):
-        if trace and checkout.name != "parent":
+        if trace and checkout == ROOT:  # the change side runs in the repository root
             return {"seed": seed, "exit": 1, "error": "ImportError: boom"}
         layers = {"cli.self_ms": {"value": 0.5, "unit": "ms"}}
         return {"seed": seed, "exit": 0, "correct": True, "failed": 0,
@@ -100,7 +100,7 @@ def test_per_layer_figures_are_medians_of_alternating_traced_runs(tmp_path, monk
     def bench_run(checkout, workload, seed, seconds, trace):
         if not trace:
             return {"seed": seed, "exit": 0, "correct": True, "failed": 0, "metrics": END_TO_END}
-        side = "parent" if checkout.name == "parent" else "change"
+        side = "change" if checkout == ROOT else "parent"
         order.append(side)
         layers = {"fv.run.ms": {"value": next(figures[side]), "unit": "ms"}}
         if side == "change" and len(order) == 2:

@@ -37,8 +37,11 @@ CONTACT = make_problem(2.0, 0.5, 1.0, 0.5, a=0.5)
 
 ALL_FANS = [REGION1, REGION2, REGION3, PLESS_DELTA, VACUUM, CONTACT]
 
-# thin region-II shock-contact strips: a few nodes of the star strip round
-# onto its edges, so those strips must keep the per-point profile
+# thin region-II shock-contact fans: the star strip is so thin that a grid
+# node can round onto one of its waves and take the neighbour's state.
+# test_pinned_battery_equals_reference holds their exact-x constant strips to
+# the tensor reference that gives each node its own strip's state: at order
+# 128, the same verdicts and totals within 1e-4 of tol
 THIN_FAIL_TO_PASS = make_problem(
     2.3654770044225333, 8.28080064205011, 11.729740163780688, 1.4101975692004238,
     a=11.856959214450118, alpha=0.028655694282015823, beta=2.498937130399818,
@@ -273,7 +276,7 @@ def assert_matches_references(p, fan, psi, quad_n, tensor_within=1e-4, own_state
     tol (1e-6 scale**3) of the tensor reference and has its verdict; with
     "verdict", only the verdict is compared.
     """
-    constant, rarefaction, delta = weakform._parts(fan, psi, quad_n)
+    constant, rarefaction, delta = weakform._parts(fan, [psi], quad_n)[0]
     total, parts = reference_tensor_parts(p, fan, psi, quad_n, own_state=own_state)
     assert rarefaction == parts["rarefaction"]
     assert delta == parts["delta"]
@@ -530,7 +533,7 @@ class TestWorkBuffers:
         for n in (64, 128, 64):
             for i in range(5):
                 for fan, battery, ref in fans[n]:
-                    assert_grid_parts_equal(weakform._parts(fan, battery[i], n), ref[i])
+                    assert_grid_parts_equal(weakform._parts(fan, [battery[i]], n)[0], ref[i])
 
     def test_keeps_the_last_two_orders(self):
         for n in (64, 128, 256, 128):
@@ -553,22 +556,22 @@ class TestWorkBuffers:
         monkeypatch.setattr(weakform, path, spy)
         for n in (16, 64, 128):
             del calls[:]
-            got = weakform._parts(fan, psi, n)
+            got = weakform._parts(fan, [psi], n)[0]
             assert_grid_parts_equal(got, reference_tensor_parts(p, fan, psi, n)[1])
             assert (n, n) in calls  # the kernel took this path on a full strip
 
     def test_threads_equal_reference(self):
         cases = [(p, n, battery_parts(p, n)) for p, n in
                  [(REGION3, 64), (REGION1, 128), (VACUUM, 64), (REGION2, 128)]]
-        # the bits one thread gets alone
-        alone = {id(case): [weakform._parts(case[0], psi, n) for psi in case[1]] for _, n, case in cases}
+        # the bits one thread gets alone, the whole battery in one pass
+        alone = {id(case): weakform._parts(case[0], case[1], n) for _, n, case in cases}
         errors = []
 
         def worker(p, n, case):
             fan, battery, ref = case
             try:
                 for _ in range(3):
-                    got = [weakform._parts(fan, psi, n) for psi in battery]
+                    got = weakform._parts(fan, battery, n)
                     if got != alone[id(case)]:
                         errors.append((p, n, got))
                     for parts, want in zip(got, ref):
@@ -588,6 +591,99 @@ class TestWorkBuffers:
             sys.setswitchinterval(interval)
         assert not any(th.is_alive() for th in threads)
         assert errors == []
+
+
+def bits(values):
+    """Floats, nested in lists and tuples, spelled in hex, so 0.0 and -0.0 differ."""
+    if isinstance(values, (list, tuple)):
+        return [bits(v) for v in values]
+    return float(values).hex()
+
+
+def assert_one_pass_equals_one_bump_calls(fan, battery, quad_n):
+    """_parts and weak_residual on the whole battery give every bump the
+    bits of a call on that bump alone."""
+    alone = [weakform._parts(fan, [psi], quad_n)[0] for psi in battery]
+    assert bits(weakform._parts(fan, battery, quad_n)) == bits(alone)
+    alone = [weak_residual(fan, psi, quad_n) for psi in battery]
+    assert bits(weak_residual(fan, battery, quad_n)) == bits(alone)
+
+
+class TestOnePass:
+    """A battery in one pass: the panels of all its bumps on one ragged axis."""
+
+    @pytest.mark.parametrize("quad_n", [64, 128])
+    @pytest.mark.parametrize("p", ALL_FANS)
+    def test_battery_equals_one_bump_calls(self, p, quad_n):
+        fan = solve(p)
+        assert_one_pass_equals_one_bump_calls(fan, residual_battery(fan), quad_n)
+
+    def test_seeded_wide_sweep_equals_one_bump_calls(self):
+        rng = np.random.default_rng(2110)
+        graded = 0
+        for _ in range(120):
+            p = draw_wide_problem(rng)
+            try:
+                fan = solve(p)
+                battery = residual_battery(fan)
+            except ChapgasError:
+                continue
+            assert_one_pass_equals_one_bump_calls(fan, battery, 64)
+            graded += 1
+        assert graded >= 100
+
+    def test_sabotaged_delta_equals_one_bump_calls(self):
+        fan, rows = fan_checks(REGION3, 64, w0_factor=1.3)
+        assert fan.delta.w0 == solve(REGION3).delta.w0 * 1.3
+        assert not all(row.ok for row in rows if row.name.startswith("weak."))
+        for n in (64, 128):
+            assert_one_pass_equals_one_bump_calls(fan, residual_battery(fan), n)
+
+    @pytest.mark.parametrize("p", [REGION1, REGION2, PLESS_DELTA])
+    def test_ragged_panels_equal_one_bump_calls(self, p):
+        # a narrow bump on each wave, which the wave crosses, one beside it
+        # and the battery: bump i owns a different number of rows each time
+        fan = solve(p)
+        battery = list(residual_battery(fan))
+        for wave in fan.waves:
+            x = wave.path.position(1.0)
+            battery[:0] = [TestFunction(x0=x, t0=1.0, rx=0.05, rt=0.4),
+                           TestFunction(x0=x + 0.3, t0=1.0, rx=0.2, rt=0.4)]
+        counts = [len(list(reference_panels(p, fan, psi, 64))) for psi in battery]
+        assert len(set(counts)) >= 3
+        for n in (64, 128):
+            assert_one_pass_equals_one_bump_calls(fan, battery, n)
+
+    def test_empty_sequence_has_no_residuals(self):
+        fan = solve(REGION1)
+        assert weak_residual(fan, [], 64) == [] == weakform._parts(fan, [], 64)
+
+    @pytest.mark.parametrize("bad", [3.0, None, "psi", np.zeros(4), (1.0, 1.0, 0.5, 0.5)])
+    def test_anything_but_bumps_raises_validation_error(self, bad):
+        fan = solve(REGION2)
+        psi = residual_battery(fan)[0]
+        for arg in (bad, [psi, bad], (bad,), [[psi]]):
+            with pytest.raises(ValidationError, match="TestFunction"):
+                weak_residual(fan, arg, 64)
+
+    def test_fan_checks_grade_the_battery_in_one_call(self, monkeypatch):
+        # verify reaches the kernel through its own bindings of
+        # weak_residual and residual_battery, once per fan
+        import chapgas.verify as verify
+
+        calls = []
+
+        def spy(name):
+            original = getattr(verify, name)
+            monkeypatch.setattr(verify, name, lambda *a, **k: calls.append(name) or original(*a, **k))
+
+        spy("weak_residual")
+        spy("residual_battery")
+        _, rows = fan_checks(REGION1, 64)
+        assert sorted(calls) == ["residual_battery", "weak_residual"]
+        assert [row.name for row in rows if row.name.startswith("weak.")] == [
+            f"weak.psi{i}.{law}" for i in range(5) for law in ("mass", "momentum")
+        ]
 
 
 class TestQuadOrderGuard:
