@@ -264,7 +264,7 @@ def cmd_sample(cfg: dict, out: str | None) -> int:
     if not math.isfinite(step):
         raise NonFiniteInput("sample grid step (x_max - x_min) overflows")
     xs = [x_min + i * step for i in range(x_count)]
-    x_cells = [_fmt(x) for x in xs]
+    x_cells = (",".join(["%.17g"] * x_count) % tuple(xs)).split(",")  # _fmt of each x
     x_grid = np.array(xs)
 
     def opt(v) -> str:

@@ -31,14 +31,14 @@ keeps its relative accuracy. A strip's width is the difference of its two
 clipped wave positions, the same width a grid of nodes across the strip
 would see. A vacuum strip adds nothing.
 
-A rarefaction interior is integrated on an n x n Gauss grid per panel,
-its states from waves._profile. Every n x n pass writes, with out=, into
-one of eight work arrays of its order n (_Work), in the order of operations
-of the plain expressions, so no pass allocates an n x n temporary and the
-sums keep their bits. A set outlives the call: each thread keeps its own
-(threading.local), so concurrent calls never share one, and holds the sets
-of its last two orders up to 256, at most 8.4 MB per thread (1.3 MB for
-orders 64 and 128). A higher order gets a fresh set on every call.
+A rarefaction interior is integrated on an n x n Gauss grid per panel, its
+states from waves._profile's closed form, op for op (from _profile itself
+when a node lies on the head or the tail). Every n x n pass writes, with
+out=, into one of ten work arrays of its order n (_Work), in the order of
+operations of the plain expressions, so no pass allocates an n x n
+temporary and the sums keep their bits. Each thread keeps its own sets
+(threading.local) of its last two orders up to 256, at most 10.5 MB per
+thread (1.6 MB for orders 64 and 128); a higher order gets a fresh set.
 
 A call takes all its bumps in one pass: their panels are the rows of one
 ragged axis, each row with its own bump's (x0, t0, rx, rt), and the t
@@ -195,6 +195,9 @@ def _bump_integrals(lo, width):
     values of B or of b would keep only their absolute one.
     """
     edges, cum, b_edges, frac, half_w = _bump_table()
+    some = width > 0.0  # an empty interval takes no pieces and gives (+0.0, +0.0)
+    out = np.zeros(np.shape(lo)), np.zeros(np.shape(lo))
+    lo, width = lo[some], width[some]
     hi = np.minimum(lo + width, 1.0)
     i_lo = edges.searchsorted(lo, "right") - 1
     i_hi = edges.searchsorted(hi, "right") - 1
@@ -213,7 +216,9 @@ def _bump_integrals(lo, width):
         pieces.append([size * (f @ half_w) for f in _bump_inside(s)])
         del s  # s holds this piece's b' now; free it before the next piece is made
     (pb0, pdb0), (pb1, pdb1) = pieces
-    return pb0 + (cum[i_hi] - cum[j]) + pb1, pdb0 + (b_edges[i_hi] - b_edges[j]) + pdb1
+    out[0][some] = pb0 + (cum[i_hi] - cum[j]) + pb1
+    out[1][some] = pdb0 + (b_edges[i_hi] - b_edges[j]) + pdb1
+    return out
 
 
 class _Work:
@@ -232,14 +237,12 @@ class _Work:
         if np.any(np.diff(self.frac[0]) < 0.0):
             raise RuntimeError(f"Gauss-Legendre nodes of order {n} are not in order")
         self.frac.flags.writeable = False
-        self.x, self.w, self.p, self.b, self.t1, self.t2, self.bt, self.dbt_rt = (
-            np.empty((n, n)) for _ in range(8)
-        )
+        self.x, self.w, self.p, self.b, self.bt, self.dbt_rt = (np.empty((n, n)) for _ in range(6))
+        self.rho, self.u, self.rho_u, self.mom = (np.empty((n, n)) for _ in range(4))
 
 
-# Each thread keeps the work sets of its last _KEEP orders up to _KEEP_MAX_N:
-# at most 2 x 8 x 256^2 x 8 B = 8.4 MB, and 1.3 MB for orders 64 and 128.
-# A higher order gets a fresh set per call.
+# Each thread keeps the work sets of its last _KEEP orders up to _KEEP_MAX_N, at
+# most 2 x 10 x 256^2 x 8 B = 10.5 MB; a higher order gets a fresh set per call.
 _KEEP = 2
 _KEEP_MAX_N = 256
 _kept = threading.local()
@@ -259,13 +262,14 @@ def _work(n: int) -> _Work:
     return ws
 
 
-def _strip_sums(ws: _Work, psi: TestFunction, rho, rho_u, mom, mom_u, beta_rho):
+def _strip_sums(ws: _Work, psi: TestFunction, g):
     """Quadrature sums (R1, R2) of one rarefaction strip, pass by pass in ws.
 
-    On entry ws.x holds the strip's nodes X, ws.w their weights W and ws.bt
-    and ws.dbt_rt the t factors bt and bt'/rt on the grid; the state terms
-    are n x n. Each pass is the operation, in the order, of
+    On entry ws.x holds the strip's nodes X, ws.w their weights W, ws.bt
+    and ws.dbt_rt the t factors bt and bt'/rt and ws.rho and ws.u the
+    states on the grid. Each pass is the operation, in the order, of
 
+        mom = rho u - A rho**(1 - alpha)
         R1 = sum(W (rho psi_t + (rho u) psi_x))
         R2 = sum(W (mom psi_t + (mom u) psi_x + (beta rho) psi)),
 
@@ -273,7 +277,12 @@ def _strip_sums(ws: _Work, psi: TestFunction, rho, rho_u, mom, mom_u, beta_rho):
     x-bump pair (b, b') of _bump_pair, so the sums are bit for bit those
     of the allocating expressions.
     """
-    s, p, b, bt = ws.x, ws.p, ws.b, ws.bt
+    s, p, b, bt, rho, rho_u, mom, t1 = ws.x, ws.p, ws.b, ws.bt, ws.rho, ws.rho_u, ws.mom, ws.dbt_rt
+    np.multiply(rho, ws.u, out=rho_u)
+    np.copyto(mom, rho)
+    mom **= 1.0 - g.alpha  # in-place ** keeps the operator's np.square and np.sqrt
+    np.subtract(rho_u, np.multiply(g.A, mom, out=mom), out=mom)
+    mom_u = np.multiply(mom, ws.u, out=ws.u)
     np.subtract(s, psi.x0, out=s)
     np.divide(s, psi.rx, out=s)
     # a monotone row has its extremes at its ends, so the two end columns
@@ -282,20 +291,29 @@ def _strip_sums(ws: _Work, psi: TestFunction, rho, rho_u, mom, mom_u, beta_rho):
         _bump_inside(s, p, b)
     else:
         b[...], s[...] = _bump_pair(s)
-    np.multiply(b, ws.dbt_rt, out=p)  # psi_t
+    np.multiply(b, ws.dbt_rt, out=p)  # psi_t; ws.dbt_rt is free from here on
     np.divide(s, psi.rx, out=s)
     np.multiply(s, bt, out=s)  # psi_x
 
-    t1, t2 = ws.t1, ws.t2
     np.multiply(rho, p, out=t1)
-    np.add(t1, np.multiply(rho_u, s, out=t2), out=t1)
+    np.add(t1, np.multiply(rho_u, s, out=rho_u), out=t1)
     r1 = float(np.multiply(ws.w, t1, out=t1).sum())
     np.multiply(mom, p, out=p)
     np.add(p, np.multiply(mom_u, s, out=s), out=p)
-    np.multiply(beta_rho, np.multiply(b, bt, out=b), out=b)
+    np.multiply(np.multiply(g.beta, rho, out=t1), np.multiply(b, bt, out=b), out=b)
     np.add(p, b, out=p)
     r2 = float(np.multiply(ws.w, p, out=p).sum())
     return r1, r2
+
+
+def _interior(ws: _Work, g, w_l: float, X, t, half):
+    """waves._profile's rarefaction interior, op for op, at the nodes X and times t (a column)
+    into ws.rho and ws.u, with w_l = v - chap(rho) of the head's left state."""
+    xs = np.divide(np.subtract(X, half, out=ws.u), t, out=ws.u)
+    rho = np.divide(g.A * (1.0 - g.alpha), np.subtract(xs, w_l, out=ws.rho), out=ws.rho)
+    rho **= 1.0 / g.alpha  # in-place ** keeps the operator's np.square and np.sqrt
+    u = np.divide(np.subtract(xs, g.alpha * w_l, out=xs), 1.0 - g.alpha, out=xs)
+    np.add(u, g.beta * t, out=u)
 
 
 def _check_order(quad_n) -> int:
@@ -387,23 +405,30 @@ def _parts(fan: WaveFan, bumps, n: int):
         if fan.states[k] is not None or fan.is_vacuum(k):
             continue
         ws = _work(n)
-        for p, t in enumerate(tj):
+        w_l = fan.states[k - 1].v - g.chap(fan.states[k - 1].rho)
+        for p, t in enumerate(tj[:, :, None]):
             lo, hi = x[k, p], x[k + 1, p]
             width = hi - lo
             if not (width > 0.0).any():
                 continue
             X = np.multiply(width[:, None], ws.frac, out=ws.x)
             np.add(lo[:, None], X, out=X)
+            half = 0.5 * g.beta * t * t
+            # the closed form if every node lies strictly between the head and
+            # the tail at _profile's positions (its tie rule gives a node on the
+            # head the left state); rows are nondecreasing, so their ends decide
+            head, tail = (path.c * t + half for path in paths[k - 1 : k + 1])
+            if (X[:, :1] > head).all() and (X[:, -1:] < tail).all():
+                _interior(ws, g, w_l, X, t, half)
+            else:
+                ws.rho[...], ws.u[...] = _profile(fan, X, t)
             np.multiply((wj[p] * 0.5 * width)[:, None], wts, out=ws.w)
-            rho_col, u_col = _profile(fan, X, t[:, None])
             # the t factors on the whole grid: a plain multiply costs about
             # half of one that broadcasts a column
             ws.bt[...] = bt[p][:, None]
             ws.dbt_rt[...] = dbt_rt[p][:, None]
-            rho_u = rho_col * u_col
-            mom = rho_u - g.A * rho_col ** (1.0 - g.alpha)
             i = owner[p]
-            s1, s2 = _strip_sums(ws, bumps[i], rho_col, rho_u, mom, mom * u_col, g.beta * rho_col)
+            s1, s2 = _strip_sums(ws, bumps[i], g)
             r1[i] += s1
             r2[i] += s2
     rarefaction = list(zip(r1, r2))

@@ -422,6 +422,22 @@ class TestAntiderivative:
             np.testing.assert_allclose(d_b, ref_b, rtol=1e-13, atol=0.0)
             np.testing.assert_allclose(db, ref_db, rtol=1e-10, atol=0.0)
 
+    def test_empty_intervals_give_positive_zeros(self):
+        rng = np.random.default_rng(22)
+        lo = rng.uniform(-1.0, 0.9, (3, 4, 16))
+        width = np.where(rng.uniform(size=lo.shape) < 0.4, 0.0, rng.uniform(0.0, 0.1, lo.shape))
+        some = width > 0.0
+        assert 0 < some.sum() < some.size
+        got = weakform._bump_integrals(lo, width)
+        alone = weakform._bump_integrals(lo[some], width[some])
+        for part, want in zip(got, alone):
+            assert part.shape == lo.shape
+            assert np.all(part[~some] == 0.0) and not np.signbit(part[~some]).any()
+            assert part[some].tobytes() == want.tobytes()
+        for part in weakform._bump_integrals(lo, np.zeros(lo.shape)):
+            assert part.shape == lo.shape
+            assert np.all(part == 0.0) and not np.signbit(part).any()
+
     def test_table_is_built_once_lazily_and_read_only(self):
         code = (
             "import chapgas, chapgas.cli\n"
@@ -542,23 +558,52 @@ class TestWorkBuffers:
         assert _work(512) is not _work(512)  # above the kept range: fresh each call
         assert [ws.n for ws in weakform._kept.sets] == [128, 256]
 
-    @pytest.mark.parametrize("p, path", [(REGION1, "_profile")], ids=["rarefaction_interior"])
-    def test_fallback_paths_equal_reference(self, monkeypatch, p, path):
-        fan = solve(p)
-        psi = residual_battery(fan)[0]
+    @staticmethod
+    def spy_on(monkeypatch, name, grid_arg):
+        """Record the grid shape of each call to weakform.<name>."""
         calls = []
-        original = getattr(weakform, path)
+        original = getattr(weakform, name)
 
         def spy(*args):
-            calls.append(np.shape(args[1]))
+            calls.append(np.shape(args[grid_arg]))
             return original(*args)
 
-        monkeypatch.setattr(weakform, path, spy)
+        monkeypatch.setattr(weakform, name, spy)
+        return calls
+
+    def test_closed_form_takes_full_strips(self, monkeypatch):
+        fan = solve(REGION1)
+        psi = residual_battery(fan)[0]
+        interior = self.spy_on(monkeypatch, "_interior", 3)
+        profile = self.spy_on(monkeypatch, "_profile", 1)
         for n in (16, 64, 128):
-            del calls[:]
+            del interior[:], profile[:]
             got = weakform._parts(fan, [psi], n)[0]
-            assert_grid_parts_equal(got, reference_tensor_parts(p, fan, psi, n)[1])
-            assert (n, n) in calls  # the kernel took this path on a full strip
+            assert_grid_parts_equal(got, reference_tensor_parts(REGION1, fan, psi, n)[1])
+            assert (n, n) in interior and profile == []
+
+    def test_strip_with_a_node_on_the_head_falls_back_to_profile(self, monkeypatch):
+        # the head x = -t/2 + t^2/4 turns at (1, -1/4), and the bump's right
+        # edge sits 1e-13 right of that: for |t - 1| < 6e-7 the strip runs
+        # from the head to the edge, so thin that the first node column
+        # rounds onto the head, where _profile's tie rule gives the left state
+        p = make_problem(1.0, 0.0, 0.5, 1.2, a=1.0, beta=0.5)
+        fan = solve(p)
+        head = fan.waves[0].path
+        assert (head.c, head.beta) == (-0.5, 0.5)
+        psi = TestFunction(x0=-0.75 + 1e-13, t0=1.0, rx=0.5, rt=0.4)
+        on_head = []
+        original = weakform._profile
+
+        def spy(fan, X, t):
+            # the head's position as _profile computes it
+            on_head.append(bool(np.all(X[:, :1] == head.c * t + 0.5 * p.params.beta * t * t)))
+            return original(fan, X, t)
+
+        monkeypatch.setattr(weakform, "_profile", spy)
+        got = weakform._parts(fan, [psi], 128)[0]
+        assert_grid_parts_equal(got, reference_tensor_parts(p, fan, psi, 128)[1])
+        assert on_head == [True]
 
     def test_threads_equal_reference(self):
         cases = [(p, n, battery_parts(p, n)) for p, n in
