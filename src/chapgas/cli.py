@@ -43,6 +43,10 @@ _EXIT_CHECK = 3
 
 _REQUIRED = object()
 
+# The most sample points per time: each becomes a CSV row, and the x column
+# is built in full before the first time is evaluated.
+_MAX_X_COUNT = 1_000_000
+
 
 def _fmt(v: float) -> str:
     return "%.17g" % float(v)
@@ -248,6 +252,8 @@ def cmd_sample(cfg: dict, out: str | None) -> int:
     x_count = _count(cfg, "x_count")
     if x_count < 2 or not x_max > x_min:
         raise ValidationError("sample grid needs x_count >= 2 and x_max > x_min")
+    if x_count > _MAX_X_COUNT:
+        raise ValidationError(f"config key 'x_count' must be <= {_MAX_X_COUNT}, got {x_count}")
     times = cfg.get("times")
     if not isinstance(times, list) or not times:
         raise ValidationError("config key 'times' must be a nonempty list")

@@ -12,8 +12,15 @@ One ghost cell per side copies its edge cell (zero-gradient outflow).
 are read-only, as ``init_state``'s are, so an in-place edit raises instead
 of going unseen. Its work arrays are made once per grid, by the first step
 of a march, and handed on in ``FvState.scratch``, because at a few hundred
-cells a step costs mostly per-call overhead (allocation, slicing), not
-arithmetic.
+cells a step costs mostly per-call overhead (allocation, slicing, about
+0.45 us per NumPy call), not arithmetic. For the same reason a step makes
+few calls. The cells of rho and of m, each with one outer cell per side, lie
+end to end in one flat work row, with a pad cell between them (see _Work):
+the cell fluxes, both fields' LLF face fluxes and their differences are one
+1-D call each, and only the last update, q - lam (F_r - F_l), takes one call
+per field, into the fresh arrays. At A = 0 the pressure terms (two powers and
+the alpha A / rho**alpha gap) are skipped: u = (m + A rho) / rho + beta t and
+the signal speed |u| have the bits of the general formulas (see _speeds).
 
 ``step`` works only on a window of cells that can change. Outside the
 window each cell holds the bits of its side's far data state. Every face
@@ -21,18 +28,20 @@ there lies between two equal states, so its LLF flux is exactly f, the flux
 difference exactly 0.0 and the cell keeps its bits; the full grid would
 leave these cells as they are too. The window's computation takes one far
 cell per side along, which gives dt, the boundary fluxes and the boundary
-sums bit for bit as on the full grid, and lets the NonPositiveDensity and
-CflViolation checks see every distinct cell. A side grows by a chunk of
-cells when its edge cell changes (compared by bit pattern, since m can be
-+0.0 or -0.0). The full grid runs, for good, once the window would skip
-fewer cells than its bookkeeping costs (so always at 200 cells), when a far
-density lies below the floor (the clamp moves every far cell), and for the
-step in which a far face's flux is not finite. ``init_state`` gives the
-data their window, _CHUNK cells per side of the interface, and ``step``
-hands on the window of each state it returns. ``step`` trusts a window only
-while the state's fields are the read-only arrays it was set for; every
-other state, whether built by hand, by ``dataclasses.replace`` or by a copy
-(whose arrays are writable), takes the full grid, which gives the same bits.
+sums bit for bit as on the full grid, and lets the CflViolation checks see
+every distinct cell. A window step needs no NonPositiveDensity scan: its
+fields are init_state's or step's, whose densities are > 0 or nan. A side
+grows by a chunk of cells when its edge cell changes (compared by bit
+pattern, since m can be +0.0 or -0.0). The full grid runs, for good, once
+the window would skip fewer cells than its bookkeeping costs (so always at
+200 cells), when a far density lies below the floor (the clamp moves every
+far cell), and for the step in which a far face's flux is not finite.
+``init_state`` gives the data their window, _CHUNK cells per side of the
+interface, and ``step`` hands on the window of each state it returns.
+``step`` trusts a window only while the state's fields are the read-only
+arrays it was set for; every other state, whether built by hand, by
+``dataclasses.replace`` or by a copy (whose arrays are writable), takes the
+full grid, which gives the same bits.
 """
 
 from __future__ import annotations
@@ -45,6 +54,11 @@ import numpy as np
 from .errors import CflViolation, NonPositiveDensity, ValidationError, WindowOutOfDomain
 from .states import RiemannProblem
 from .waves import WaveFan, _profile, wave_positions
+
+
+# The largest grid FvConfig accepts: a march over n cells takes about n steps
+# of n cells, so at this bound already about 10**12 cell-steps.
+_MAX_CELLS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -64,6 +78,8 @@ class FvConfig:
                 raise ValidationError(f"FvConfig.{name} must be finite")
         if self.n_cells < 100:
             raise ValidationError(f"n_cells must be >= 100, got {self.n_cells}")
+        if self.n_cells > _MAX_CELLS:
+            raise ValidationError(f"n_cells must be <= {_MAX_CELLS}, got {self.n_cells}")
         if not (self.x_lo < 0.0 < self.x_hi):
             raise ValidationError("domain must contain the initial discontinuity x = 0")
         if not (0.0 < self.cfl <= 0.5):
@@ -77,64 +93,85 @@ _FLOOR = 1e-12
 
 
 # A window grows by _CHUNK cells on a side whose edge cell moved. A growth
-# re-slices the work arrays (about 3.7 us), and an edge moves at most one cell
-# per step, so a chunk of C costs about 3.7 us / C per step in re-slicing and
-# about C idle cells at 10.5 ns each: the sum is least near C = 19, and 8, 16
-# and 32 ran within noise of each other in fv.run on the oracle refs.
+# re-slices the work arrays (about 5 us), and an edge moves at most one cell
+# per step, so a chunk of C costs about 5 us / C per step in re-slicing and
+# about C idle cells at 10 ns (A = 0) to 15 ns (A > 0) each: the sum is least
+# near C = 18 to 22, and 8, 16 and 32 ran within noise of each other in fv.run
+# on the oracle refs.
 _CHUNK = 16
-# A window step costs about 2 us more than a full step over as many cells (the
-# copy into fresh n-cell arrays, the slices, the edge checks), and each cell
-# it skips saves about 10.5 ns: it pays from 2 us / 10.5 ns = 190 skipped cells.
-# The figures are from a 2-vCPU Intel Xeon, Python 3.11, NumPy 2.4.
+# A window step pays for the copy into fresh n-cell arrays, the slices and the
+# edge checks, saves the density scan (see _speeds) and skips the cells
+# outside the window at 10 to 15 ns each. Timed against a full step of the
+# same state, it pays from about 60 to 100 skipped cells on grids of 200 and
+# 400 cells and from about 140 to 160 on 1600. A bound of 140 ran within 1%
+# of 190 per step on the oracle refs, so 190 stays, and a 200-cell grid always
+# takes the full grid. The figures are from a 2-vCPU Intel Xeon, Python 3.11,
+# NumPy 2.4.
 _SKIP_MIN = 190
-
-
-class _Row:
-    """A work array a with its views lo = a[:-1] and hi = a[1:]."""
-
-    __slots__ = ("a", "lo", "hi")
-
-    def __init__(self, a: np.ndarray):
-        self.a, self.lo, self.hi = a, a[:-1], a[1:]
 
 
 class _Work:
     """Work arrays of step for a window of w cells: views of a _Scratch.
 
-    Cell rows have w + 2 entries (the window and one outer cell per side),
-    face rows w + 1; a face's left and right cells are a cell row's lo and
-    hi. rho_in and m_in are the window's own cells.
+    q is one flat row of 2c + 1 entries, c = w + 2: the window's rho cells
+    with one outer cell per side, a pad cell, then its m cells laid out
+    alike; rho and m are its two halves and rho_in and m_in the window's own
+    cells. u and f are laid out as q. Face k lies between q[k] and q[k + 1],
+    so half_a, flux and jump have 2c entries. The pad holds 0.0 in q and u,
+    and half_a 0.0 on the two faces around it, so those faces' fluxes are
+    half the cell flux of the outer cell beside the pad, and the flux
+    differences next to the pad no larger than the outer cells' own fluxes:
+    no entry that straddles the halves raises a floating-point warning that
+    the fields do not raise themselves. The last update runs on each half
+    alone and reads none of them. Only this constructor writes the pad
+    entries.
     """
 
     def __init__(self, sc: _Scratch, w: int):
+        c = w + 2
         self.w = w
-        cells, faces = w + 2, w + 1
-        self.rho, self.m, self.amax, self.f = (
-            _Row(buf[:cells]) for buf in (sc.rho, sc.m, sc.amax, sc.f)
-        )
-        self.rho_in, self.m_in = self.rho.a[1:-1], self.m.a[1:-1]
-        self.flux_rho, self.flux_m = _Row(sc.flux_rho[:faces]), _Row(sc.flux_m[:faces])
-        self.u, self.gap, self.nonpositive = sc.u[:cells], sc.gap[:cells], sc.nonpositive[:cells]
-        self.half_a, self.jump, self.low = sc.half_a[:faces], sc.jump[:faces], sc.low[:w]
+        self.q, self.u, self.f = sc.q[: 2 * c + 1], sc.u[: 2 * c + 1], sc.f[: 2 * c + 1]
+        self.half_a, self.flux = sc.half_a[: 2 * c], sc.flux[: 2 * c]
+        self.q[c] = self.u[c] = self.half_a[c - 1] = self.half_a[c] = 0.0
+        self.rho, self.m = self.q[:c], self.q[c + 1 :]
+        self.rho_in, self.m_in = self.rho[1:-1], self.m[1:-1]
+        self.q_lo, self.q_hi = self.q[:-1], self.q[1:]
+        self.f_lo, self.f_hi = self.f[:-1], self.f[1:]
+        self.flux_lo, self.flux_hi = self.flux[:-1], self.flux[1:]
+        self.u_rho, self.u_m = self.u[:c], self.u[c + 1 :]
+        self.half_rho, self.half_m = self.half_a[: c - 1], self.half_a[c + 1 :]
+        # jump holds q_r - q_l per face, then, as diff, the flux difference
+        # per cell; diff_rho and diff_m are those of the window's own cells
+        self.jump = sc.jump[: 2 * c]
+        self.diff = self.jump[:-1]
+        self.diff_rho, self.diff_m = self.diff[:w], self.diff[c + 1 : c + 1 + w]
+        # boundary faces: the first and last of rho, then of m
+        self.ends = (0, c - 2, c + 1, 2 * c - 1)
+        self.amax, self.gap, self.nonpositive = sc.amax[:c], sc.gap[:c], sc.nonpositive[:c]
+        self.amax_lo, self.amax_hi = self.amax[:-1], self.amax[1:]
+        self.low = sc.low[:w]
 
 
 class _Scratch:
     """Buffers of step for one grid of n cells and one FvConfig.
 
-    step writes every entry before it reads it, so states of one grid can
-    share a scratch, as long as they are not stepped concurrently. The
-    constant operands are 0-d arrays: the same bits as the Python floats,
-    without a conversion on every ufunc call.
+    step writes every entry before it reads it, except the pad entries that
+    _Work sets, so states of one grid can share a scratch, as long as they
+    are not stepped concurrently. The constant operands are 0-d arrays: the
+    same bits as the Python floats, without a conversion on every ufunc
+    call.
     """
 
     def __init__(self, n: int, cfg: FvConfig):
         self.n, self.cfg = n, cfg
-        self.rho, self.m, self.amax, self.f, self.u, self.gap = (np.empty(n + 2) for _ in range(6))
-        self.flux_rho, self.flux_m, self.half_a, self.jump = (np.empty(n + 1) for _ in range(4))
+        self.q, self.u, self.f = (np.empty(2 * n + 5) for _ in range(3))
+        self.half_a, self.flux, self.jump = (np.empty(2 * n + 4) for _ in range(3))
+        self.amax, self.gap = np.empty(n + 2), np.empty(n + 2)
         self.nonpositive = np.empty(n + 2, dtype=bool)
         self.low = np.empty(n, dtype=bool)
         self.work = _Work(self, n)
         g = cfg.problem.params
+        self.pressureless = g.pressureless
         self.half, self.zero, self.floor = np.array(0.5), np.array(0.0), np.array(_FLOOR)
         self.A, self.alpha = np.array(g.A), np.array(g.alpha)
         self.one_minus_alpha, self.alpha_A = np.array(1.0 - g.alpha), np.array(g.alpha * g.A)
@@ -229,18 +266,41 @@ def grid(cfg: FvConfig):
     return x_lo + (np.arange(cfg.n_cells) + 0.5) * dx, dx
 
 
-def _velocity(rho, m, sc: _Scratch, out, nonpositive):
-    """Drift-free velocity (m + A rho**(1-alpha)) / rho, written to out.
+def _speeds(wk: _Work, sc: _Scratch, beta_t: float, scan: bool) -> float:
+    """The velocity u = (m + A rho**(1-alpha)) / rho + beta t of every cell of
+    wk.rho and wk.m, into wk.u_rho, the larger signal speed |u| or
+    |u - alpha A / rho**alpha| of each, into wk.amax, and the largest of those.
 
-    nonpositive is a boolean work array shaped like rho. Raises
-    NonPositiveDensity if any rho <= 0.
+    With scan, raises NonPositiveDensity if any rho <= 0. Without, every rho
+    must be > 0 or nan already, as in the fields of a window: init_state's
+    are the data's densities, and step leaves each cell as it was, >= the
+    floor, or nan.
+
+    At A = 0 the pressure terms are skipped, u being (m + A rho) / rho +
+    beta t and amax |u|: the same bits, since at every rho > 0 A rho and
+    A rho**(1-alpha) are the same signed zero (the same nan at rho = inf,
+    with the same warning), and u - alpha A / rho**alpha is u but for the
+    sign of a zero, which |.| drops.
     """
-    if np.count_nonzero(np.less_equal(rho, sc.zero, out=nonpositive)):
+    rho, u, amax = wk.rho, wk.u_rho, wk.amax
+    if scan and np.count_nonzero(np.less_equal(rho, sc.zero, out=wk.nonpositive)):
         raise NonPositiveDensity("cannot recover velocity at nonpositive density")
-    np.power(rho, sc.one_minus_alpha, out=out)
-    np.multiply(sc.A, out, out=out)
-    np.add(m, out, out=out)
-    return np.divide(out, rho, out=out)
+    if sc.pressureless:
+        np.multiply(sc.A, rho, out=u)
+    else:
+        np.power(rho, sc.one_minus_alpha, out=u)
+        np.multiply(sc.A, u, out=u)
+    np.add(wk.m, u, out=u)
+    np.divide(u, rho, out=u)
+    np.add(u, beta_t, out=u)
+    np.abs(u, out=amax)
+    if not sc.pressureless:
+        gap = np.power(rho, sc.alpha, out=wk.gap)
+        np.divide(sc.alpha_A, gap, out=gap)
+        np.subtract(u, gap, out=gap)
+        np.abs(gap, out=gap)
+        np.maximum(amax, gap, out=amax)
+    return float(amax.max())
 
 
 def init_state(cfg: FvConfig) -> FvState:
@@ -263,25 +323,6 @@ def init_state(cfg: FvConfig) -> FvState:
         far = (rho.item(0), m.item(0), rho.item(-1), m.item(-1))
         state._window = _Window(rho, m, a, b, far)
     return state
-
-
-def _face_flux(u, q: _Row, half_a, wk: _Work, half, out: _Row) -> _Row:
-    """LLF flux 0.5 (f_l + f_r) - (0.5 a) (q_r - q_l) on every face, into out."""
-    f = wk.f
-    np.multiply(u, q.a, out=f.a)
-    np.add(f.lo, f.hi, out=out.a)
-    np.multiply(half, out.a, out=out.a)
-    np.subtract(q.hi, q.lo, out=wk.jump)
-    np.multiply(half_a, wk.jump, out=wk.jump)
-    np.subtract(out.a, wk.jump, out=out.a)
-    return out
-
-
-def _update(q, flux: _Row, lam: float, out):
-    """q - lam (F_r - F_l), into out."""
-    np.subtract(flux.hi, flux.lo, out=out)
-    np.multiply(lam, out, out=out)
-    return np.subtract(q, out, out=out)
 
 
 def step(state: FvState, cfg: FvConfig, dt_cap: float | None = None) -> FvState:
@@ -317,35 +358,25 @@ def _advance(state: FvState, cfg: FvConfig, dt_cap, sc: _Scratch, a: int, b: int
     is f, its difference 0.0 and the update q - lam 0.0 = q bit for bit;
     the window's two outer faces are such faces, so they give the boundary
     fluxes, and the outer cells the far signal speeds, of the full grid.
-    dt, both boundary sums, the clamp count and the NonPositiveDensity and
-    CflViolation checks therefore come out as on the full grid. Only a
-    non-finite flux on a far face breaks this (the full grid turns far cells
-    into nan there); then this returns None and step takes the full grid.
+    dt, both boundary sums, the clamp count and the CflViolation checks
+    therefore come out as on the full grid; the NonPositiveDensity scan runs
+    on the full grid only (see _speeds). Only a non-finite flux on a far face
+    breaks this (the full grid turns far cells into nan there); then this
+    returns None and step takes the full grid.
     """
-    g = cfg.problem.params
     n = len(state.rho)
     wk = sc.work
     if wk.w != b - a:
         wk = sc.work = _Work(sc, b - a)
     dx = state.dx
-    rho, m = wk.rho.a, wk.m.a
+    rho, m = wk.rho, wk.m
     wk.rho_in[...] = state.rho[a:b]
     wk.m_in[...] = state.m[a:b]
     lo, hi = a - 1 if a else 0, b if b < n else b - 1
     rho[0], rho[-1] = state.rho[lo], state.rho[hi]
     m[0], m[-1] = state.m[lo], state.m[hi]
 
-    u = _velocity(rho, m, sc, wk.u, wk.nonpositive)
-    np.add(u, g.beta * state.t, out=u)
-    # signal speeds |u| and |u - alpha A / rho**alpha|; amax is the larger
-    gap = np.power(rho, sc.alpha, out=wk.gap)
-    np.divide(sc.alpha_A, gap, out=gap)
-    np.subtract(u, gap, out=gap)
-    np.abs(gap, out=gap)
-    amax = wk.amax
-    np.abs(u, out=amax.a)
-    np.maximum(amax.a, gap, out=amax.a)
-    peak = float(amax.a.max())
+    peak = _speeds(wk, sc, cfg.problem.params.beta * state.t, scan=win is _FULL)
     if not math.isfinite(peak):
         raise CflViolation("wave speeds are not finite")
 
@@ -355,26 +386,40 @@ def _advance(state: FvState, cfg: FvConfig, dt_cap, sc: _Scratch, a: int, b: int
     if not (0.0 < dt < math.inf):
         raise CflViolation(f"no admissible time step (dt = {dt})")
 
-    half_a = np.maximum(amax.lo, amax.hi, out=wk.half_a)
+    # 0.5 a per face and u per cell, copied from the rho half to the m half
+    half_a = np.maximum(wk.amax_lo, wk.amax_hi, out=wk.half_rho)
     np.multiply(sc.half, half_a, out=half_a)
-    flux_rho = _face_flux(u, wk.rho, half_a, wk, sc.half, wk.flux_rho)
-    flux_m = _face_flux(u, wk.m, half_a, wk, sc.half, wk.flux_m)
-    mass_in = dt * (flux_rho.a[0] - flux_rho.a[-1])
-    mom_in = dt * (flux_m.a[0] - flux_m.a[-1])
+    wk.half_m[...] = half_a
+    wk.u_m[...] = wk.u_rho
+    # the LLF flux 0.5 (f_l + f_r) - (0.5 a) (q_r - q_l), f = u q, on every
+    # face of both halves
+    np.multiply(wk.u, wk.q, out=wk.f)
+    flux = np.add(wk.f_lo, wk.f_hi, out=wk.flux)
+    np.multiply(sc.half, flux, out=flux)
+    jump = np.subtract(wk.q_hi, wk.q_lo, out=wk.jump)
+    np.multiply(wk.half_a, jump, out=jump)
+    np.subtract(flux, jump, out=flux)
+    rho_first, rho_last, m_first, m_last = wk.ends
+    mass_in = dt * (flux[rho_first] - flux[rho_last])
+    mom_in = dt * (flux[m_first] - flux[m_last])
     if win is not _FULL and not (math.isfinite(mass_in) and math.isfinite(mom_in)):
         return None
 
-    # fresh arrays: the window's cells are written into rho_new and m_new,
-    # which are views of rho_out and m_out, and the rest is copied from state
+    # lam (F_r - F_l) on every cell of both halves
+    lam = dt / dx
+    diff = np.subtract(wk.flux_hi, wk.flux_lo, out=wk.diff)
+    np.multiply(lam, diff, out=diff)
+    # q - lam (F_r - F_l) into fresh arrays: the window's cells into rho_new
+    # and m_new, which are views of rho_out and m_out, the rest copied from
+    # state
     if win is _FULL:
         rho_new = rho_out = np.empty(n)
         m_new = m_out = np.empty(n)
     else:
-        rho_out, m_out = np.array(state.rho, dtype=float), np.array(state.m, dtype=float)
+        rho_out, m_out = state.rho.copy(), state.m.copy()
         rho_new, m_new = rho_out[a:b], m_out[a:b]
-    lam = dt / dx
-    _update(wk.rho_in, flux_rho, lam, rho_new)
-    _update(wk.m_in, flux_m, lam, m_new)
+    np.subtract(wk.rho_in, wk.diff_rho, out=rho_new)
+    np.subtract(wk.m_in, wk.diff_m, out=m_new)
     n_clamp = int(np.count_nonzero(np.less(rho_new, sc.floor, out=wk.low)))
     if n_clamp:
         np.maximum(rho_new, sc.floor, out=rho_new)

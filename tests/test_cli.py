@@ -572,6 +572,42 @@ class TestOracle:
         assert got["l1_ok"] is True
 
 
+class TestGridBounds:
+    # a grid size past the bound exits 2 with the key named, before anything
+    # is built for it (at 10**13 cells np.arange raised a raw MemoryError)
+    def test_absurd_n_cells_exits_2_before_the_grid(self, tmp_path, capsys, monkeypatch):
+        def built(*_args, **_kwargs):
+            raise AssertionError("the grid was built")
+
+        monkeypatch.setattr(fv, "grid", built)
+        monkeypatch.setattr(cli, "run", built)
+        payload = dict(DELTA_PROBLEM, A=0.0, beta=2.0, n_cells=10**13)
+        assert main(["oracle", "--config", write_config(tmp_path, payload)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: ValidationError: n_cells must be <= {fv._MAX_CELLS}, got {10**13}\n"
+        )
+
+    def test_x_count_past_the_bound_exits_2_before_the_grid(self, tmp_path, capsys, monkeypatch):
+        # one point past the bound: were the check after the x column, a
+        # million points would be built and then evaluated (10**13 would
+        # exhaust memory instead of failing)
+        def evaluated(*_args, **_kwargs):
+            raise AssertionError("the sample grid was evaluated")
+
+        monkeypatch.setattr(cli, "evaluate", evaluated)
+        x_count = cli._MAX_X_COUNT + 1
+        payload = dict(DELTA_PROBLEM, x_min=-1.0, x_max=1.0, x_count=x_count, times=[1.0])
+        assert main(["sample", "--config", write_config(tmp_path, payload)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: ValidationError: config key 'x_count' must be <= {cli._MAX_X_COUNT}, "
+            f"got {x_count}\n"
+        )
+
+
 class TestLimit:
     def test_compression_sweep_reaches_pressureless_speed(self, tmp_path):
         payload = {
