@@ -32,21 +32,45 @@ A pair in which either side exited nonzero, reported ``correct: false`` or
 counted failed commands is left out of the medians, quartiles and wins, and
 listed under ``excluded`` with the reasons; ``of`` still counts every pair
 run, so excluded pairs can only lose the gain rule, never win it.
+
+Separate processes drift with the host: identical code on both sides can
+read several percent apart. So each workload also runs ``in_process``: both
+trees' ``src/chapgas`` are imported into this interpreter under two package
+names, with the parent's tree a second time under a third name, and whole
+passes of the ``--seed`` pool (``perfbench/inputs.make_pool``) run through
+each copy's ``cli.main`` in turn. The first side moves on by one each round,
+so over every three rounds each side runs once in each position; rounds go
+on for ``--seconds`` and at least ``--pairs`` rounds, to a whole number of
+such cycles. Every first output of each copy is checked with
+``perfbench/checker.py`` (through ``perfbench/bench.py``'s session, which
+holds a repeat to its first output). Per side it records the pass time in ms
+and the pass's cmds/s (median and quartiles), p50 and p90 over every command
+run, and the failed count; per round, the change's and the parent's second
+copy's cmds/s over the parent's, whose median and quartiles give the A/B
+ratio and the A/A ratio, and the change's wins. ``setup_s`` and
+``peak_rss_mb`` come from the separate processes alone.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
+import importlib.util
 import json
+import os
 import shutil
 import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 HELD_OUT_SEED = 2718
 TRACED_RUNS = 3
+# in-process sides, in the order of the first round: the parent's tree is
+# loaded twice, so that its two copies give the A/A ratio
+IN_PROCESS_SIDES = ("parent", "change", "parent_again")
 
 
 def git(*args: str, cwd: Path) -> str:
@@ -121,6 +145,94 @@ def summary(values: list[float]) -> dict:
         return {"runs": [], "median": None, "q1": None, "q3": None}
     q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else values * 3
     return {"runs": values, "median": statistics.median(values), "q1": q1, "q3": q3}
+
+
+def unload(name: str) -> None:
+    """Drop the package `name` and its modules from sys.modules."""
+    for key in [k for k in sys.modules if k == name or k.startswith(name + ".")]:
+        del sys.modules[key]
+
+
+def load_cli(src: Path, name: str):
+    """The cli module of the chapgas package under src, imported as the
+    package `name`; its modules import one another relatively, so several
+    trees load side by side. A package already loaded under `name` is
+    dropped first."""
+    unload(name)
+    pkg = src / "chapgas"
+    spec = importlib.util.spec_from_file_location(
+        name, pkg / "__init__.py", submodule_search_locations=[str(pkg)]
+    )
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return importlib.import_module(name + ".cli")
+
+
+def perfbench(root: Path):
+    """perfbench's bench and inputs modules from the tree at root."""
+    path = str(root / "perfbench")
+    if path not in sys.path:
+        sys.path.insert(0, path)
+    import bench
+    import inputs
+
+    return bench, inputs
+
+
+def in_process(parent: Path, root: Path, workload: str, seed: int, seconds: float,
+               min_rounds: int, scratch: Path) -> dict:
+    """Whole pool passes of each side's cli.main in this interpreter, the
+    parent's checkout against the change's at root; see the module
+    docstring."""
+    bench, inputs = perfbench(root)
+    trees = {"parent": parent, "change": root, "parent_again": parent}
+    pool = inputs.make_pool(workload, seed)
+    argvs = inputs.write_configs(pool, scratch / f"configs-{workload}")
+    sessions = {}
+    try:
+        for side in IN_PROCESS_SIDES:
+            cli = load_cli(trees[side] / "src", f"ab_{side}_chapgas")
+            sessions[side] = bench.Session(cli, pool, argvs)
+            sessions[side].warm_up()
+        passes = {side: [] for side in IN_PROCESS_SIDES}
+        samples = {side: [] for side in IN_PROCESS_SIDES}
+        cycle = len(IN_PROCESS_SIDES)
+        rounds, start = 0, time.perf_counter()
+        while rounds < min_rounds or rounds % cycle or time.perf_counter() - start < seconds:
+            for k in range(cycle):
+                side = IN_PROCESS_SIDES[(rounds + k) % cycle]
+                ns = [sessions[side].run(i) for i in range(len(pool))]
+                samples[side] += ns
+                passes[side].append(sum(ns) / 1e6)
+            rounds += 1
+    finally:
+        for side in IN_PROCESS_SIDES:
+            unload(f"ab_{side}_chapgas")
+    rate = {side: [len(pool) / (ms / 1e3) for ms in runs] for side, runs in passes.items()}
+    sides = {
+        side: {
+            "pass_ms": summary(passes[side]),
+            "cmds_per_s": summary(rate[side]),
+            "cmd_p50_ms": statistics.median(samples[side]) / 1e6,
+            "cmd_p90_ms": statistics.quantiles(samples[side], n=10)[8] / 1e6,
+            "attempted": sessions[side].attempted,
+            "failed": sessions[side].failed,
+            "errors": sessions[side].errors,
+        }
+        for side in IN_PROCESS_SIDES
+    }
+    base = rate["parent"]
+    out = {
+        "seed": seed, "rounds": rounds, "commands_per_pass": len(pool), "sides": sides,
+        "ab_ratio": summary([c / p for c, p in zip(rate["change"], base)]),
+        "aa_ratio": summary([a / p for a, p in zip(rate["parent_again"], base)]),
+        "wins": sum(c > p for c, p in zip(rate["change"], base)), "of": rounds,
+    }
+    print(f"{workload} in-process: {rounds} rounds, A/B {out['ab_ratio']['median']:.4f}"
+          f" ({out['wins']} of {rounds} won), A/A {out['aa_ratio']['median']:.4f}, failed "
+          + json.dumps({side: s["failed"] for side, s in sides.items()}), flush=True)
+    return out
 
 
 def compare(metric: dict, parent_runs: list[dict], change_runs: list[dict]) -> dict:
@@ -208,6 +320,8 @@ def main(argv=None) -> int:
                 "per_layer": {side: layer_medians(rs) for side, rs in traced.items()},
                 "per_layer_runs": {side: [layer_values(r) for r in rs]
                                    for side, rs in traced.items()},
+                "in_process": in_process(parent, root, workload, args.seed, args.seconds,
+                                         args.pairs, scratch),
             }
             envs = [r["env"] for rs in runs.values() for r in rs if "env" in r]
             if envs:
@@ -222,4 +336,11 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
+    # the in-process passes run NumPy in this interpreter: pin its pools to
+    # one thread before anything imports it, as perfbench/run.py does
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    from run import THREAD_VARS
+
+    for var in THREAD_VARS:
+        os.environ[var] = "1"
     sys.exit(main())

@@ -72,3 +72,16 @@ def draw_region_problem(rng: np.random.Generator, region: str, alpha: float, bet
         # a0 stays consistent with the library's own thresholds
         assert abs(thresholds(p)[0] - a0) <= 1e-12 * max(1.0, a0)
         return p
+
+
+def draw_wide_problem(rng):
+    """One draw over the property-test ranges (tests/test_fan_property.py)."""
+    rho_l, rho_r = 10.0 ** rng.uniform(-4.0, 4.0, size=2)
+    u_l, u_r = rng.uniform(-50.0, 50.0, size=2)
+    if rng.integers(5) == 0:
+        u_r = u_l
+    alpha = rng.uniform(0.01, 0.99)
+    beta = rng.uniform(-5.0, 5.0)
+    a_ref = rho_l**alpha * (u_l - u_r if u_l > u_r else 1.0)
+    a = 3.0 * a_ref * rng.uniform() if rng.integers(5) else 0.0
+    return make_problem(rho_l, u_l, rho_r, u_r, a=a, alpha=alpha, beta=beta)

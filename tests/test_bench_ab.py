@@ -1,9 +1,12 @@
 """bench/ab.py: pairs that a failed run belongs to are not compared, a
-traced run without per-layer metrics fails the script, and the per-layer
-figures are medians of several alternating traced runs."""
+traced run without per-layer metrics fails the script, the per-layer
+figures are medians of several alternating traced runs, and the in-process
+passes load both trees side by side and check their outputs."""
 
 import importlib.util
 import json
+import shutil
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -81,6 +84,7 @@ def test_traced_run_without_metrics_fails_the_script(tmp_path, monkeypatch, caps
     monkeypatch.setattr(ab, "bench_run", bench_run)
     monkeypatch.setattr(ab, "export", lambda commit, dest, root: dest.mkdir())
     monkeypatch.setattr(ab, "git", fake_git)
+    monkeypatch.setattr(ab, "in_process", lambda *args: {})
     out = tmp_path / "bench.json"
     assert ab.main(["--out", str(out), "--pairs", "1", "--workloads", "solve_limit"]) == 1
     got = json.loads(out.read_text(encoding="utf-8"))["workloads"]["solve_limit"]
@@ -111,6 +115,7 @@ def test_per_layer_figures_are_medians_of_alternating_traced_runs(tmp_path, monk
     monkeypatch.setattr(ab, "bench_run", bench_run)
     monkeypatch.setattr(ab, "export", lambda commit, dest, root: dest.mkdir())
     monkeypatch.setattr(ab, "git", fake_git)
+    monkeypatch.setattr(ab, "in_process", lambda *args: {})
     out = tmp_path / "bench.json"
     assert ab.main(["--out", str(out), "--pairs", "1", "--workloads", "oracle_fv"]) == 0
     got = json.loads(out.read_text(encoding="utf-8"))["workloads"]["oracle_fv"]
@@ -123,3 +128,44 @@ def test_per_layer_figures_are_medians_of_alternating_traced_runs(tmp_path, monk
     assert got["per_layer"] == {"parent": {"fv.run.ms": 20.0},
                                 "change": {"fv.run.ms": 21.0, "fv.step.calls": 7.0}}
     assert got["errors"]["traced"] == {}
+
+
+def test_in_process_passes_load_both_trees(tmp_path, monkeypatch):
+    # The parent's tree is a copy of this one whose _fmt writes 6 digits in
+    # place of 17: each copy runs under its own package name, and the checker
+    # counts the parent's wrong outputs and none of the change's.
+    def export(commit, dest, root):
+        shutil.copytree(ROOT / "src", dest / "src")
+        cli = dest / "src" / "chapgas" / "cli.py"
+        cli.write_text(cli.read_text().replace('"%.17g" % float(v)', '"%.6g" % float(v)'))
+
+    def bench_run(checkout, workload, seed, seconds, trace):
+        metrics = {"cli.self_ms": {"value": 0.5, "unit": "ms"}} if trace else END_TO_END
+        return {"seed": seed, "exit": 0, "correct": True, "failed": 0, "metrics": metrics}
+
+    monkeypatch.setattr(ab, "bench_run", bench_run)
+    monkeypatch.setattr(ab, "export", export)
+    monkeypatch.setattr(ab, "git", fake_git)
+    modules = set(sys.modules)
+    out = tmp_path / "bench.json"
+    argv = ["--out", str(out), "--pairs", "1", "--seconds", "0", "--workloads", "sample_dense"]
+    assert ab.main(argv) == 0
+    got = json.loads(out.read_text(encoding="utf-8"))["workloads"]["sample_dense"]["in_process"]
+    # one round per side, so each side runs once in each position
+    assert got["rounds"] == got["of"] == len(ab.IN_PROCESS_SIDES) == 3
+    assert got["seed"] == 201
+    sides = got["sides"]
+    assert set(sides) == set(ab.IN_PROCESS_SIDES)
+    for side in sides.values():
+        assert len(side["pass_ms"]["runs"]) == len(side["cmds_per_s"]["runs"]) == 3
+        assert side["pass_ms"]["q1"] <= side["pass_ms"]["median"] <= side["pass_ms"]["q3"]
+        assert 0 < side["cmd_p50_ms"] <= side["cmd_p90_ms"]
+        # warm-up, then every command of three passes
+        assert side["attempted"] > 3 * got["commands_per_pass"]
+    assert sides["change"]["failed"] == 0
+    for side in ("parent", "parent_again"):
+        assert sides[side]["failed"] > 0 and "differs from reference" in sides[side]["errors"][0]
+    assert len(got["ab_ratio"]["runs"]) == len(got["aa_ratio"]["runs"]) == 3
+    assert 0 <= got["wins"] <= 3
+    # the three packages are gone from sys.modules afterwards
+    assert not {m for m in set(sys.modules) - modules if m.startswith("ab_")}

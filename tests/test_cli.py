@@ -13,11 +13,21 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from chapgas import DensityOutOfRange, RiemannProblem, WindowOutOfDomain, cli, fv, states, waves
+from chapgas import (
+    ChapgasError,
+    DensityOutOfRange,
+    RiemannProblem,
+    WindowOutOfDomain,
+    cli,
+    fv,
+    states,
+    waves,
+)
 from chapgas.cli import main
 from chapgas.fv import FvConfig, gate_cells
+from chapgas.verify import checks_pass, fan_checks
 from chapgas.waves import SampleKind, evaluate, solve
-from helpers import loads_strict, make_problem
+from helpers import draw_region_problem, draw_state, draw_wide_problem, loads_strict, make_problem
 
 DELTA_PROBLEM = {"rho_l": 1.0, "u_l": 1.0, "rho_r": 1.0, "u_r": -1.0, "A": 0.25, "alpha": 0.5}
 REGION2_PROBLEM = {"rho_l": 1.0, "u_l": 1.8, "rho_r": 2.0, "u_r": 1.2, "A": 1.5, "alpha": 0.5}
@@ -183,6 +193,19 @@ class TestSample:
         assert main(["sample", "--config", cfg]) == 2
         assert "NonFiniteInput" in capsys.readouterr().err
 
+    def test_grid_whose_last_point_overflows_rejected(self, tmp_path, capsys):
+        # the step and x_max are finite, but 3 * step rounds past the float
+        # range: the last point used to be written as an x of inf
+        payload = dict(
+            DELTA_PROBLEM, x_min=-1e308, x_max=7.976931348623157e307, x_count=4, times=[1.0]
+        )
+        assert math.isfinite((payload["x_max"] - payload["x_min"]) / 3)
+        cfg = write_config(tmp_path, payload)
+        assert main(["sample", "--config", cfg]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: NonFiniteInput") and "Warning" not in err
+
 
 def sample_fan(cfg: dict):
     return solve(
@@ -284,6 +307,70 @@ class TestSamplePinned:
         assert {r[3] for r in rows("signed_zero")} == {"-0", "0"}
 
 
+def draw_sample_config(rng, variant: str) -> dict:
+    """A valid sample config whose fan is of the given variant, from the
+    tests/helpers.py ranges, on a grid of 2 to 900 points over one to three
+    times. Half the grids set loc_tol to the grid step, so points land on a
+    delta; half the single contacts carry -0.0 on one side and 0.0 on the
+    other, half of those with equal densities, so that a run ends where only
+    the sign of a zero changes."""
+    alpha, beta = float(rng.choice([0.3, 0.5, 0.8])), float(rng.choice([-1.0, 0.0, 2.0]))
+    (rho_l, u_l), (rho_r, u_r) = draw_state(rng), draw_state(rng)
+    if variant in ("rarefaction_contact", "shock_contact"):
+        region = "I" if variant == "rarefaction_contact" else "II"
+        p = draw_region_problem(rng, region, alpha, beta)
+    elif variant == "delta_shock" and rng.integers(2):
+        p = draw_region_problem(rng, "III", alpha, beta)
+    elif variant == "delta_shock":
+        p = make_problem(rho_l, max(u_l, u_r) + 0.1, rho_r, min(u_l, u_r), 0.0, alpha, beta)
+    elif variant == "two_contacts_vacuum":
+        p = make_problem(rho_l, min(u_l, u_r), rho_r, max(u_l, u_r) + 0.1, 0.0, alpha, beta)
+    elif rng.integers(2):
+        u_l, u_r = (-0.0, 0.0) if rng.integers(2) else (0.0, -0.0)
+        rho_r = rho_l if rng.integers(2) else rho_r
+        p = make_problem(rho_l, u_l, rho_r, u_r, 0.0, alpha, float(rng.choice([-0.0, 0.0])))
+    else:
+        p = make_problem(rho_l, u_l, rho_r, u_l, float(rng.uniform(0.1, 2.0)), alpha, beta)
+    cfg = {
+        "rho_l": p.left.rho, "u_l": p.left.v, "rho_r": p.right.rho, "u_r": p.right.v,
+        "A": p.params.A, "alpha": p.params.alpha, "beta": p.params.beta,
+        "x_min": float(rng.uniform(-12.0, 0.0)), "x_max": float(rng.uniform(0.5, 12.0)),
+        "x_count": int(rng.integers(2, 901)),
+        "times": rng.uniform(0.1, 2.0, size=int(rng.integers(1, 4))).tolist(),
+    }
+    if rng.integers(2):
+        cfg["loc_tol"] = (cfg["x_max"] - cfg["x_min"]) / (cfg["x_count"] - 1)
+    return cfg
+
+
+VARIANTS = (
+    "two_contacts_vacuum", "single_contact", "rarefaction_contact", "shock_contact", "delta_shock"
+)
+
+
+class TestSampleRuns:
+    """sample writes a run of rows with one kind and equal rho and u bits in
+    one join; seeded draws over every variant match the per-row writer."""
+
+    def test_seeded_draws_match_reference_writer(self, tmp_path, capsys):
+        rng = np.random.default_rng(20261021)
+        seen, delta_rows, sign_cuts = set(), 0, 0
+        for i in range(120):
+            cfg = draw_sample_config(rng, VARIANTS[i % len(VARIANTS)])
+            assert main(["sample", "--config", write_config(tmp_path, cfg)]) == 0, cfg
+            out, err = capsys.readouterr()
+            want = reference_sample_csv(cfg)
+            assert (out, err) == (want, ""), cfg
+            seen.add(sample_fan(cfg).variant)
+            rows = [line.split(",") for line in want.splitlines()[1:]]
+            delta_rows += sum(r[4] == "delta" for r in rows)
+            sign_cuts += sum(
+                a[1:3] == b[1:3] and {a[3], b[3]} == {"-0", "0"} for a, b in zip(rows, rows[1:])
+            )
+        assert seen == set(VARIANTS)
+        assert delta_rows > 0 and sign_cuts > 0
+
+
 def reference_fmt(v) -> str:
     return f"{float(v):.17g}"
 
@@ -313,29 +400,6 @@ class TestFmt:
         assert [cli._fmt(v) for v in values] == [reference_fmt(v) for v in values]
 
 
-class TestFmtEach:
-    """_fmt_each formats like _fmt per element, keyed on the value's bits."""
-
-    @pytest.mark.parametrize(
-        "values",
-        [
-            [0.0, -0.0, 0.0, -0.0],
-            [1.0, np.nextafter(1.0, 2.0), np.nextafter(1.0, 0.0), 1.0],
-            [5e-324, -5e-324, 2.2250738585072009e-308, np.nextafter(0.0, 1.0)],
-            [1e308, -1e308, np.finfo(float).max, -np.finfo(float).max],
-            [0.1, 0.2, 0.30000000000000004, 0.2, 0.3, 7.0],
-            [np.nan, 2.5, np.nan],
-            [3.25],
-        ],
-    )
-    def test_matches_per_element_fmt(self, values):
-        a = np.array(values, dtype=float)
-        assert cli._fmt_each(a) == [cli._fmt(v) for v in a]
-
-    def test_signed_zeros_keep_their_sign(self):
-        assert cli._fmt_each(np.array([0.0, -0.0, 0.0])) == ["0", "-0", "0"]
-
-
 class TestVerify:
     def test_constructed_fan_passes(self, tmp_path):
         got = run_json(tmp_path, "verify", dict(DELTA_PROBLEM, beta=2.0))
@@ -362,9 +426,39 @@ class TestVerify:
         assert main(["verify", "--config", cfg]) == 2
 
     def test_shock_contact_fan_passes(self, tmp_path):
-        got = run_json(tmp_path, "verify", dict(REGION2_PROBLEM, quad_n=32))
+        got = run_json(tmp_path, "verify", dict(REGION2_PROBLEM, quad_n=48))
         assert got["passed"] is True
-        assert got["quad_n"] == 32
+        assert got["quad_n"] == 48
+
+    @pytest.mark.parametrize("quad_n", [16, 47, 1025])
+    def test_quad_n_outside_the_cli_range_exits_2(self, tmp_path, capsys, quad_n):
+        # the library accepts 8 to 1024; below 48 the battery fails valid fans
+        cfg = write_config(tmp_path, dict(REGION2_PROBLEM, quad_n=quad_n))
+        assert main(["verify", "--config", cfg]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        want = f"config key 'quad_n' must lie in [48, 1024], got {quad_n}"
+        assert err == f"error: UnsupportedQuadOrder: {want}\n"
+
+    def test_no_true_fan_fails_at_the_lowest_cli_order(self):
+        # a fan that passes every check at 128 passes at the CLI's floor too;
+        # fans that fail at 128 (thin shock-contact strips) stay out of it
+        lo = cli._QUAD_N_RANGE[0]
+        rng = np.random.default_rng(20261018)
+        graded = failed_at_16 = 0
+        for _ in range(300):
+            p = draw_wide_problem(rng)
+            try:
+                rows = fan_checks(p, quad_n=128)[1]
+            except ChapgasError:
+                continue
+            if checks_pass(rows):
+                graded += 1
+                assert checks_pass(fan_checks(p, quad_n=lo)[1]), p
+                failed_at_16 += not checks_pass(fan_checks(p, quad_n=16)[1])
+        assert graded > 250
+        # the comparison has power: at 16 the same fans fail in numbers
+        assert failed_at_16 > 50
 
     def test_near_contact_rarefaction_passes(self, tmp_path):
         # u_r is one ulp above u_l; rounding used to store the fan tail one

@@ -26,7 +26,7 @@ from chapgas import weakform
 from chapgas.verify import fan_checks
 from chapgas.waves import _profile
 from chapgas.weakform import _bump_pair, _check_order, _crossing_times, _gauss, _work
-from helpers import make_problem
+from helpers import draw_wide_problem, make_problem
 
 REGION1 = make_problem(1.0, 0.0, 0.5, 1.2, a=1.0)
 REGION2 = make_problem(1.0, 1.8, 2.0, 1.2, a=1.5)
@@ -56,19 +56,6 @@ HUGE_STAR = make_problem(
     a=1.3557018708407524, alpha=0.01419833529644283, beta=-4.647632987739987,
 )
 VACUUM_DRIFT = make_problem(0.3, -2.0, 5.0, 1.5, beta=2.5)
-
-
-def draw_wide_problem(rng):
-    """One draw over the property-test ranges (tests/test_fan_property.py)."""
-    rho_l, rho_r = 10.0 ** rng.uniform(-4.0, 4.0, size=2)
-    u_l, u_r = rng.uniform(-50.0, 50.0, size=2)
-    if rng.integers(5) == 0:
-        u_r = u_l
-    alpha = rng.uniform(0.01, 0.99)
-    beta = rng.uniform(-5.0, 5.0)
-    a_ref = rho_l**alpha * (u_l - u_r if u_l > u_r else 1.0)
-    a = 3.0 * a_ref * rng.uniform() if rng.integers(5) else 0.0
-    return make_problem(rho_l, u_l, rho_r, u_r, a=a, alpha=alpha, beta=beta)
 
 
 def battery_maxima(p, orders):
