@@ -47,8 +47,18 @@ holds a repeat to its first output). Per side it records the pass time in ms
 and the pass's cmds/s (median and quartiles), p50 and p90 over every command
 run, and the failed count; per round, the change's and the parent's second
 copy's cmds/s over the parent's, whose median and quartiles give the A/B
-ratio and the A/A ratio, and the change's wins. ``setup_s`` and
-``peak_rss_mb`` come from the separate processes alone.
+ratio and the A/A ratio, and the change's wins. ``peak_rss_mb`` comes from
+the separate processes alone.
+
+``setup_s`` from separate runs compares medians taken minutes apart, which
+host drift can swamp. So each workload also has ``setup_pairs``:
+``SETUP_PAIRS`` pairs of fresh interpreters, one per tree, each timed from
+spawn to exit on perfbench's ``SETUP_CODE`` with the ``--seed`` pool's first
+command, the side that runs first alternating pair by pair. A pair whose two
+sides differ in exit code or stdout is left out of the medians, ratios and
+wins and listed under ``differing``; ``of`` counts every pair. Per side it
+records the seconds (median and quartiles), per pair the change's time over
+the parent's, and the change's wins.
 """
 
 from __future__ import annotations
@@ -68,6 +78,7 @@ from pathlib import Path
 
 HELD_OUT_SEED = 2718
 TRACED_RUNS = 3
+SETUP_PAIRS = 30
 # in-process sides, in the order of the first round: the parent's tree is
 # loaded twice, so that its two copies give the A/A ratio
 IN_PROCESS_SIDES = ("parent", "change", "parent_again")
@@ -235,6 +246,44 @@ def in_process(parent: Path, root: Path, workload: str, seed: int, seconds: floa
     return out
 
 
+def setup_run(checkout: Path, code: str, argv: list[str]) -> tuple[float, int, str]:
+    """(seconds from spawn to exit, exit code, stdout) of one fresh
+    interpreter running code on the chapgas sources of checkout."""
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-c", code, str(checkout / "src"), *argv],
+                          cwd=checkout, capture_output=True, text=True, timeout=120)
+    return time.perf_counter() - start, proc.returncode, proc.stdout
+
+
+def setup_pairs(parent: Path, root: Path, workload: str, seed: int, count: int,
+                scratch: Path) -> dict:
+    """count fresh-interpreter pairs of the parent's tree against the change's
+    at root, on the seed pool's first command; see the module docstring."""
+    bench, inputs = perfbench(root)
+    argv = inputs.write_configs(inputs.make_pool(workload, seed)[:1], scratch / f"setup-{workload}")[0]
+    trees = {"parent": parent, "change": root}
+    times = {"parent": [], "change": []}
+    differing = []
+    for i in range(count):
+        runs = {side: setup_run(trees[side], bench.SETUP_CODE, argv)
+                for side in (("parent", "change") if i % 2 == 0 else ("change", "parent"))}
+        if runs["parent"][1:] != runs["change"][1:]:
+            differing.append(i)
+            continue
+        for side, (seconds, _, _) in runs.items():
+            times[side].append(seconds)
+    out = {
+        "seed": seed, "command": argv[0], "parent": summary(times["parent"]),
+        "change": summary(times["change"]),
+        "ratio": summary([c / p for c, p in zip(times["change"], times["parent"])]),
+        "wins": sum(c < p for c, p in zip(times["change"], times["parent"])), "of": count,
+        "differing": differing,
+    }
+    print(f"{workload} setup pairs: {out['parent']['median']} -> {out['change']['median']} s"
+          f" ({out['wins']} of {count} won, {len(differing)} differing)", flush=True)
+    return out
+
+
 def compare(metric: dict, parent_runs: list[dict], change_runs: list[dict]) -> dict:
     """Both sides of one end-to-end metric; pairs with a failed side are not compared."""
     name, higher = metric["name"], metric["better"] == "higher"
@@ -322,6 +371,8 @@ def main(argv=None) -> int:
                                    for side, rs in traced.items()},
                 "in_process": in_process(parent, root, workload, args.seed, args.seconds,
                                          args.pairs, scratch),
+                "setup_pairs": setup_pairs(parent, root, workload, args.seed, SETUP_PAIRS,
+                                           scratch),
             }
             envs = [r["env"] for rs in runs.values() for r in rs if "env" in r]
             if envs:

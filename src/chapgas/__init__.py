@@ -4,6 +4,8 @@ distributional residuals, generalized jump conditions, amplitude-limit
 sweeps, and an independent finite-volume cross-check.
 """
 
+import importlib
+
 from .delta import (
     DeltaShockWave,
     c_identity_residual,
@@ -29,18 +31,6 @@ from .errors import (
     ValidationError,
     WindowOutOfDomain,
 )
-from .fv import (
-    FvConfig,
-    FvState,
-    compare_to_exact,
-    gate_cells,
-    grid,
-    init_state,
-    measure_delta_mass,
-    run,
-    step,
-    wave_offsets,
-)
 from .limits import (
     LimitReport,
     concentration_integrals,
@@ -58,7 +48,6 @@ from .states import (
     problem_scale,
     riemann_invariants,
 )
-from .verify import CheckRow, checks_pass, fan_checks
 from .waves import (
     SampleKind,
     SolutionSlice,
@@ -70,7 +59,41 @@ from .waves import (
     solve,
     wave_positions,
 )
-from .weakform import TestFunction, residual_battery, weak_residual
+
+# the NumPy-backed layers, imported on the first lookup of one of their names
+# (PEP 562), so that solve and limit start without NumPy; a name already set,
+# say by a monkeypatch, keeps its value
+_LAZY = {
+    "fv": (
+        "FvConfig",
+        "FvState",
+        "compare_to_exact",
+        "gate_cells",
+        "grid",
+        "init_state",
+        "measure_delta_mass",
+        "run",
+        "step",
+        "wave_offsets",
+    ),
+    "verify": ("CheckRow", "checks_pass", "fan_checks"),
+    "weakform": ("TestFunction", "residual_battery", "weak_residual"),
+}
+
+
+def __getattr__(name: str):
+    for module, names in _LAZY.items():
+        if name in names:
+            mod = importlib.import_module(f"{__name__}.{module}")
+            for n in names:
+                globals().setdefault(n, getattr(mod, n))
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))
+
 
 __version__ = "0.1.0"
 

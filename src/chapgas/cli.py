@@ -19,17 +19,23 @@ rows a run at a time: the consecutive points of a time slice with the same
 kind and the same rho and u bits share one formatted tail, joined onto their
 x cells in one step, which gives the same bytes as writing row by row.
 Exit codes: 0 success, 2 bad config or invalid data, 3 a check failed.
+
+``solve`` and ``limit`` are scalar math and never load NumPy, so a fresh
+process starts them at about half the cost of the others. ``sample`` imports
+NumPy, ``verify`` imports ``verify`` and ``weakform`` and ``oracle`` imports
+``fv``, each on first use. Their names (``run``, ``fan_checks``, ...) stay
+attributes of this module: a lookup from outside loads them, and a value
+already set there, such as a test's patch, is the one the command calls.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import math
 import sys
 from functools import cache
-
-import numpy as np
 
 from .errors import (
     ChapgasError,
@@ -38,11 +44,35 @@ from .errors import (
     UnsupportedQuadOrder,
     ValidationError,
 )
-from .fv import FvConfig, compare_to_exact, gate_cells, measure_delta_mass, run, wave_offsets
 from .limits import default_sweep, limit_study
 from .states import GasParams, PrimState, RiemannProblem, pressureless_case
-from .verify import checks_pass, fan_checks
 from .waves import SampleKind, evaluate, solve
+
+# names of the NumPy-backed layers, bound here by the first command that needs
+# them (_load) or the first lookup from outside (__getattr__)
+_LAZY = {
+    "fv": ("FvConfig", "compare_to_exact", "gate_cells", "measure_delta_mass", "run",
+           "wave_offsets"),
+    "verify": ("checks_pass", "fan_checks"),
+}
+
+
+def _load(module: str) -> None:
+    """Bind the _LAZY names of chapgas.<module> in this module's globals. A
+    name that is already bound, say by a monkeypatch or a tracer's wrapper,
+    keeps its value."""
+    mod = importlib.import_module(f"{__package__}.{module}")
+    names = globals()
+    for name in _LAZY[module]:
+        names.setdefault(name, getattr(mod, name))
+
+
+def __getattr__(name: str):
+    for module, names in _LAZY.items():
+        if name in names:
+            _load(module)
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 _EXIT_OK = 0
 _EXIT_CONFIG = 2
@@ -249,6 +279,8 @@ def cmd_solve(cfg: dict, out: str | None) -> int:
 
 def cmd_sample(cfg: dict, out: str | None) -> int:
     """sample the solution on a grid, CSV"""
+    import numpy as np
+
     p = _problem(cfg)
     fan = solve(p)
     x_min = _number(cfg, "x_min")
@@ -311,6 +343,7 @@ def cmd_sample(cfg: dict, out: str | None) -> int:
 
 def cmd_verify(cfg: dict, out: str | None) -> int:
     """run self-consistency checks, JSON"""
+    _load("verify")
     p = _problem(cfg)
     quad_n = _count(cfg, "quad_n", 64)
     lo, hi = _QUAD_N_RANGE
@@ -336,6 +369,7 @@ def cmd_verify(cfg: dict, out: str | None) -> int:
 
 def cmd_oracle(cfg: dict, out: str | None) -> int:
     """cross-check against a finite-volume run, JSON"""
+    _load("fv")
     p = _problem(cfg)
     fan = solve(p)
     t_end = _number(cfg, "t_end", 1.0)

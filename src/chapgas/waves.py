@@ -9,20 +9,22 @@ reports the physical velocity u = v + beta t.
 Tie rule: a point exactly on a wave takes the state on the wave's right,
 unless that segment is not constant (a vacuum or a rarefaction interior);
 then it takes the state on the wave's left.
+
+solve is scalar math. Only _profile and evaluate work on arrays, and they
+import NumPy when first called, so building a fan never loads it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple
 
 from .delta import DeltaShockWave, make_delta_wave
 from .errors import (
     DensityOutOfRange,
     NegativeTime,
+    NonFiniteInput,
     OutsideFan,
     PressurelessNotApplicable,
     RegionMismatch,
@@ -35,6 +37,9 @@ from .states import (
     Region,
     RiemannProblem,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class Wave(NamedTuple):
@@ -251,6 +256,8 @@ def _profile(fan: WaveFan, x, t):
     so a point on a delta trajectory reports the right state. Use evaluate()
     for samples flagged by kind.
     """
+    import numpy as np
+
     x = np.asarray(x, dtype=float)
     t = np.asarray(t, dtype=float)
     if np.any(t <= 0.0):
@@ -318,13 +325,21 @@ def evaluate(
     Points within loc_tol of a delta trajectory are on the delta and report
     its running weight w(t) and velocity; loc_tol defaults to
     1e-9 * max(1, |x|) per point. Points strictly inside a vacuum segment
-    are vacuum; all others are regular. Raises DensityOutOfRange when the
-    drift beta t, a wave's position c t + beta t**2 / 2, a constant
-    segment's velocity or the delta's weight or velocity at t leaves the
-    float64 range.
+    are vacuum; all others are regular. Raises NonFiniteInput when t or any
+    x is nan or infinite, and DensityOutOfRange when the drift beta t, a
+    wave's position c t + beta t**2 / 2, a constant segment's velocity or
+    the delta's weight or velocity at t leaves the float64 range.
     """
+    import numpy as np
+
+    if not math.isfinite(t):
+        raise NonFiniteInput(f"evaluation requires a finite t, got t = {t!r}")
     if t <= 0.0:
         raise NegativeTime(f"evaluation requires t > 0, got t = {t}")
+    xa = np.asarray(x, dtype=float)
+    # an infinite x would lie within the default loc_tol (itself inf) of a delta
+    if not np.isfinite(xa).all():
+        raise NonFiniteInput("evaluation requires finite x")
     bt = fan.problem.params.beta * t
     # positions as _profile computes them, checked here on Python floats,
     # where an overflow gives inf without a NumPy warning
@@ -336,7 +351,6 @@ def evaluate(
         values += [weight, u_delta]
     if not all(map(math.isfinite, values)):
         raise DensityOutOfRange(f"the solution at t = {t!r} leaves the float64 range")
-    xa = np.asarray(x, dtype=float)
     if loc_tol is None:
         loc_tol = 1e-9 * np.maximum(1.0, np.abs(xa))
 

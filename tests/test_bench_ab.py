@@ -1,7 +1,8 @@
 """bench/ab.py: pairs that a failed run belongs to are not compared, a
 traced run without per-layer metrics fails the script, the per-layer
-figures are medians of several alternating traced runs, and the in-process
-passes load both trees side by side and check their outputs."""
+figures are medians of several alternating traced runs, the in-process
+passes load both trees side by side and check their outputs, and the
+fresh-interpreter set-up pairs alternate and compare the two trees' outputs."""
 
 import importlib.util
 import json
@@ -85,6 +86,7 @@ def test_traced_run_without_metrics_fails_the_script(tmp_path, monkeypatch, caps
     monkeypatch.setattr(ab, "export", lambda commit, dest, root: dest.mkdir())
     monkeypatch.setattr(ab, "git", fake_git)
     monkeypatch.setattr(ab, "in_process", lambda *args: {})
+    monkeypatch.setattr(ab, "setup_pairs", lambda *args: {})
     out = tmp_path / "bench.json"
     assert ab.main(["--out", str(out), "--pairs", "1", "--workloads", "solve_limit"]) == 1
     got = json.loads(out.read_text(encoding="utf-8"))["workloads"]["solve_limit"]
@@ -116,6 +118,7 @@ def test_per_layer_figures_are_medians_of_alternating_traced_runs(tmp_path, monk
     monkeypatch.setattr(ab, "export", lambda commit, dest, root: dest.mkdir())
     monkeypatch.setattr(ab, "git", fake_git)
     monkeypatch.setattr(ab, "in_process", lambda *args: {})
+    monkeypatch.setattr(ab, "setup_pairs", lambda *args: {})
     out = tmp_path / "bench.json"
     assert ab.main(["--out", str(out), "--pairs", "1", "--workloads", "oracle_fv"]) == 0
     got = json.loads(out.read_text(encoding="utf-8"))["workloads"]["oracle_fv"]
@@ -146,6 +149,7 @@ def test_in_process_passes_load_both_trees(tmp_path, monkeypatch):
     monkeypatch.setattr(ab, "bench_run", bench_run)
     monkeypatch.setattr(ab, "export", export)
     monkeypatch.setattr(ab, "git", fake_git)
+    monkeypatch.setattr(ab, "SETUP_PAIRS", 1)
     modules = set(sys.modules)
     out = tmp_path / "bench.json"
     argv = ["--out", str(out), "--pairs", "1", "--seconds", "0", "--workloads", "sample_dense"]
@@ -169,3 +173,37 @@ def test_in_process_passes_load_both_trees(tmp_path, monkeypatch):
     assert 0 <= got["wins"] <= 3
     # the three packages are gone from sys.modules afterwards
     assert not {m for m in set(sys.modules) - modules if m.startswith("ab_")}
+    # a fresh interpreter on each tree: the parent's 6-digit floats differ
+    setup = json.loads(out.read_text(encoding="utf-8"))["workloads"]["sample_dense"]["setup_pairs"]
+    assert (setup["command"], setup["differing"], setup["of"], setup["wins"]) == ("sample", [0], 1, 0)
+    assert setup["change"]["runs"] == setup["parent"]["runs"] == []
+
+
+def test_setup_pairs_alternate_and_leave_out_differing_outputs(tmp_path, monkeypatch):
+    # Fake interpreters: the parent takes 0.14 s and the change 0.07 s, but in
+    # the third pair the change prints something else, so that pair drops out.
+    order = []
+
+    def setup_run(checkout, code, argv):
+        side = "change" if checkout == ROOT else "parent"
+        order.append(side)
+        out = "other" if side == "change" and len(order) in (5, 6) else "same"
+        return (0.07 if side == "change" else 0.14), 0, out
+
+    monkeypatch.setattr(ab, "setup_run", setup_run)
+    got = ab.setup_pairs(tmp_path / "parent", ROOT, "solve_limit", 201, 4, tmp_path)
+    assert order == ["parent", "change", "change", "parent"] * 2
+    assert (got["wins"], got["of"], got["differing"]) == (3, 4, [2])
+    assert got["parent"]["runs"] == [0.14] * 3 and got["change"]["median"] == 0.07
+    assert got["ratio"]["median"] == 0.5
+    assert got["seed"] == 201 and got["command"] in ("solve", "limit")
+
+
+def test_setup_pairs_run_both_trees_in_fresh_interpreters(tmp_path):
+    # two real pairs of this tree against a copy of it: same output, timed
+    shutil.copytree(ROOT / "src", tmp_path / "parent" / "src")
+    got = ab.setup_pairs(tmp_path / "parent", ROOT, "solve_limit", 201, 2, tmp_path)
+    assert (got["of"], got["differing"]) == (2, [])
+    for side in ("parent", "change"):
+        assert len(got[side]["runs"]) == 2 and 0 < got[side]["median"] < 120
+    assert 0 <= got["wins"] <= 2

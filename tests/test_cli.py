@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import chapgas
 from chapgas import (
     ChapgasError,
     DensityOutOfRange,
@@ -1103,3 +1104,78 @@ class TestWindowsDecidedOnce:
         assert profiled == ["compare_to_exact"]
         gated = [got["delta_mass"], got["plateau"]]
         assert len(got["offsets"]) + sum(g is not None for g in gated) == windows
+
+
+def fresh_modules(code: str, *args: str) -> list:
+    """sys.modules after code runs in a new interpreter on this package; code
+    ends by printing it as JSON."""
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *args], capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
+    )
+    return json.loads(proc.stdout)
+
+
+class TestLazyLayers:
+    """solve and limit run on the scalar layers alone: NumPy and the modules
+    built on it load with the first command or lookup that needs them."""
+
+    ARRAY_LAYERS = ["numpy", "chapgas.fv", "chapgas.verify", "chapgas.weakform"]
+
+    @pytest.mark.parametrize(
+        "command, loads, skips",
+        [
+            ("solve", [], ARRAY_LAYERS),
+            ("limit", [], ARRAY_LAYERS),
+            ("sample", ["numpy"], ["chapgas.fv"]),
+            ("verify", ["chapgas.weakform"], ["chapgas.fv"]),
+            ("oracle", ["chapgas.fv"], ["chapgas.weakform"]),
+        ],
+    )
+    def test_each_command_loads_only_its_layers(self, tmp_path, command, loads, skips):
+        payload = dict(DELTA_PROBLEM, x_min=-2.0, x_max=4.0, x_count=7, times=[0.5, 1.0],
+                       n_cells=200)
+        argv = [command, "--config", write_config(tmp_path, payload),
+                "--out", str(tmp_path / "out")]
+        code = ("import json, sys; from chapgas.cli import main; "
+                "assert main(sys.argv[1:]) == 0; print(json.dumps(sorted(sys.modules)))")
+        modules = fresh_modules(code, *argv)
+        assert [m for m in loads if m not in modules] == []
+        assert [m for m in skips if m in modules] == []
+
+    def test_package_names_resolve_to_their_modules(self):
+        # in a new interpreter, where no lazy name has been looked up yet
+        code = (
+            "import json, sys, chapgas\n"
+            "before = sorted(sys.modules)\n"
+            "covered = set(chapgas.__all__) <= set(dir(chapgas))\n"
+            "wrong = [n for n in chapgas.__all__ if getattr(sys.modules[getattr(chapgas, n)"
+            ".__module__], n) is not getattr(chapgas, n)]\n"
+            "print(json.dumps([before, covered, wrong]))"
+        )
+        before, covered, wrong = fresh_modules(code)
+        assert [m for m in self.ARRAY_LAYERS if m in before] == []
+        assert covered is True
+        assert wrong == []
+
+    def test_unknown_names_raise_attribute_error(self):
+        for module in (chapgas, cli):
+            with pytest.raises(AttributeError, match="has no attribute 'nope'"):
+                getattr(module, "nope")
+
+    def test_patch_made_before_the_first_oracle_is_the_one_it_calls(self, tmp_path, monkeypatch):
+        # start from the state of a new interpreter: no fv or verify name bound
+        for names in cli._LAZY.values():
+            for name in names:
+                monkeypatch.delitem(vars(cli), name, raising=False)
+        calls = []
+
+        def patched_run(cfg):
+            calls.append(cfg.n_cells)
+            return fv.run(cfg)
+
+        monkeypatch.setattr("chapgas.cli.run", patched_run)
+        got = run_json(tmp_path, "oracle", dict(DELTA_PROBLEM, n_cells=200))
+        assert calls == [200] and got["n_cells"] == 200
+        assert cli.run is patched_run
+        assert cli.FvConfig is fv.FvConfig and cli.fan_checks is fan_checks

@@ -8,6 +8,7 @@ from chapgas import (
     DensityOutOfRange,
     GasParams,
     NegativeTime,
+    NonFiniteInput,
     OutsideFan,
     PressurelessNotApplicable,
     PrimState,
@@ -416,6 +417,22 @@ class TestEvaluate:
         delta = solve(make_problem(1.0, 1.0, 1.0, -1.0, a=0.25))
         with pytest.raises(DensityOutOfRange):
             evaluate(delta, np.array([-1.25e307, 0.0]), 1e308)
+
+    def test_non_finite_points_and_times_rejected(self):
+        # the last point of this grid overflows to inf, and the default
+        # loc_tol there (1e-9 |x| = inf) used to put it on the delta
+        fan = solve(make_problem(1.0, 1.0, 1.0, -1.0))
+        x_min, x_max, x_count = -1e308, 7.976931348623157e307, 4
+        step = (x_max - x_min) / (x_count - 1)
+        x = np.array([x_min + i * step for i in range(x_count)])
+        assert x[-1] == np.inf and np.isfinite(x[:-1]).all()
+        with pytest.raises(NonFiniteInput):
+            evaluate(fan, x, 1.0)
+        with pytest.raises(NonFiniteInput):
+            evaluate(fan, np.nan, 1.0)
+        for t in (np.inf, np.nan):
+            with pytest.raises(NonFiniteInput):
+                evaluate(fan, 0.0, t)
 
     def test_physical_velocity_includes_drift(self):
         p = make_problem(1.0, 1.0, 2.0, 0.8, a=0.25, beta=2.0)
